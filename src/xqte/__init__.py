@@ -64,7 +64,6 @@ from .inference import (
     UnstableSubsampling,
     estimate_qte_batch,
     qte_draws_from_tails,
-    subsample_draws,
     subsample_tail_pairs,
     subsampling_ci,
 )
@@ -138,7 +137,6 @@ __all__ = [
     "rot_bandwidth",
     "run_mc",
     "select_ymin",
-    "subsample_draws",
     "subsample_tail_pairs",
     "subsampling_ci",
     "substream",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import DegenerateDenominator, EstimationError, ObservationSet, StepCdf
+from .core import DegenerateDenominator, EstimationError, ObservationSet, StepCdf, step_sums
 
 DENOM_EPS = 1e-10
 SEPARATION_BOUND = 30.0
@@ -163,10 +163,9 @@ def kappa_cdf(
     n = data.n
     order = np.argsort(data.y)
     ys = data.y[order]
-    knots = np.unique(ys)
-    last = np.searchsorted(ys, knots, side="right") - 1
-    vals1 = np.cumsum(w1[order])[last] / (n * denom)
-    vals0 = np.cumsum(w0[order])[last] / (n * denom)
+    at_knot, sums = step_sums(ys, np.stack([w1[order], w0[order]]))
+    vals1, vals0 = sums[:, at_knot] / (n * denom)
+    knots = ys[at_knot]
     return KappaCdfPair(
         beta0=StepCdf(knots, vals0, flipped),
         beta1=StepCdf(knots, vals1, flipped),

@@ -9,6 +9,12 @@ counterfactual CDFs are ratios of side-to-side jumps:
 
 The two denominators are exact negatives of each other. The default
 bandwidth is the rule of thumb sigma_hat * n^(-1/5).
+
+The row functions (rot_bandwidths, side_masses, jump_ratio_rows,
+arm_threshold_rows) treat each row of a (samples x m) matrix as a
+sample of its own and flag failures per row instead of raising;
+subsampling runs them on whole chunks of draws. rot_bandwidth, rdd_cdf
+and arm_threshold are their one-row case.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .core import DegenerateDenominator, EstimationError, ObservationSet, StepCdf
+from .core import DegenerateDenominator, EstimationError, ObservationSet, StepCdf, step_sums
 
 DENOM_EPS = 1e-10
 
@@ -31,15 +37,14 @@ class EmptyWindow(EstimationError):
     """No kernel weight on one side of the cutoff within the bandwidth."""
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    bandwidth: float
-    kind: str = "epanechnikov"
-
-
 def epanechnikov(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+
+
+def rot_bandwidths(r: np.ndarray) -> np.ndarray:
+    """Rule-of-thumb bandwidth of each row of r; a constant row gets 0."""
+    return np.std(r, axis=-1, ddof=1) * r.shape[-1] ** (-1.0 / 5.0)
 
 
 def rot_bandwidth(r: np.ndarray) -> float:
@@ -47,10 +52,10 @@ def rot_bandwidth(r: np.ndarray) -> float:
     r = np.asarray(r, dtype=float)
     if r.size < 2:
         raise ValueError("need at least two observations for a bandwidth")
-    sd = float(np.std(r, ddof=1))
-    if sd == 0.0:
+    h = float(rot_bandwidths(r))
+    if h == 0.0:
         raise ZeroVariance("running variable is constant")
-    return sd * r.size ** (-1.0 / 5.0)
+    return h
 
 
 def one_sided_nw(
@@ -74,6 +79,58 @@ def one_sided_nw(
     return float((w * gv[mask]).sum() / total)
 
 
+def side_masses(
+    r: np.ndarray, d: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel mass above and below the cutoff and the first-stage jump,
+    per row.
+
+    r and d keep each sample's own row order, because the sums round
+    differently in another order; h holds one bandwidth per row. A row
+    without mass on a side gets a non-finite jump.
+    """
+    w = epanechnikov(r / h[:, None])
+    w_above = np.where(r > 0, w, 0.0)
+    w_below = np.where(r < 0, w, 0.0)
+    s_above = w_above.sum(axis=1)
+    s_below = w_below.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jump = (w_above * d).sum(axis=1) / s_above - (w_below * d).sum(axis=1) / s_below
+    return s_above, s_below, jump
+
+
+def jump_ratio_rows(
+    ys: np.ndarray,
+    r: np.ndarray,
+    d: np.ndarray,
+    w: np.ndarray,
+    window: np.ndarray,
+    s_above: np.ndarray,
+    s_below: np.ndarray,
+    jump: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Complier CDF values of each row at its knots.
+
+    ys sorts each row by outcome, and r, d and the kernel weights w
+    follow that order. window marks the entries within the bandwidth,
+    the only ones that carry weight or place a knot; any others must
+    follow them in the row and not tie with them (packed rows padded
+    with r = y = inf). s_above, s_below and jump come from side_masses.
+    Returns (at_knot, beta1, beta0); the values mean something only
+    where at_knot is set.
+    """
+    above = np.where(r > 0, w, 0.0)
+    below = np.where(r < 0, w, 0.0)
+    weights = np.stack([above * d, below * d, above * (1.0 - d), below * (1.0 - d)])
+    at_knot, sums = step_sums(ys, weights)
+    at_knot &= window
+    s_above, s_below, jump = s_above[:, None], s_below[:, None], jump[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta1 = (sums[0] / s_above - sums[1] / s_below) / jump
+        beta0 = (sums[2] / s_above - sums[3] / s_below) / -jump
+    return at_knot, beta1, beta0
+
+
 @dataclass(frozen=True)
 class RddCdfPair:
     """Complier CDF pair at the cutoff, with the first-stage jump used as
@@ -83,7 +140,7 @@ class RddCdfPair:
     beta1: StepCdf
     denom1: float
     denom0: float
-    kernel: KernelSpec
+    bandwidth: float
 
 
 def rdd_cdf(data: ObservationSet, h: float | None = None, flipped: bool = False) -> RddCdfPair:
@@ -99,51 +156,78 @@ def rdd_cdf(data: ObservationSet, h: float | None = None, flipped: bool = False)
         h = rot_bandwidth(data.r)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    r = data.r
-    above = r > 0
-    below = r < 0
-    w = epanechnikov(r / h)
-    w_above = np.where(above, w, 0.0)
-    w_below = np.where(below, w, 0.0)
-    s_above = w_above.sum()
-    s_below = w_below.sum()
-    if s_above <= 0.0:
-        raise EmptyWindow(f"no kernel mass above the cutoff within h = {h:g}")
-    if s_below <= 0.0:
-        raise EmptyWindow(f"no kernel mass below the cutoff within h = {h:g}")
-
     d = data.d.astype(float)
-    nw_above_d = float((w_above * d).sum() / s_above)
-    nw_below_d = float((w_below * d).sum() / s_below)
-    denom1 = nw_above_d - nw_below_d
-    denom0 = -denom1
+    s_above, s_below, jump = side_masses(data.r[None], d[None], np.array([h], dtype=float))
+    if not s_above[0] > 0.0:
+        raise EmptyWindow(f"no kernel mass above the cutoff within h = {h:g}")
+    if not s_below[0] > 0.0:
+        raise EmptyWindow(f"no kernel mass below the cutoff within h = {h:g}")
+    denom1 = float(jump[0])
     if abs(denom1) < DENOM_EPS:
         raise DegenerateDenominator(
             f"first-stage jump {denom1:.3e} below {DENOM_EPS}"
         )
 
-    window = np.abs(r) <= h
-    yw = data.y[window]
-    if yw.size == 0:
-        raise EmptyWindow(f"no outcomes within h = {h:g} of the cutoff")
-    order = np.argsort(yw)
-    ys = yw[order]
-    knots = np.unique(ys)
-    last = np.searchsorted(ys, knots, side="right") - 1
-
-    def jump_cumsum(weights: np.ndarray) -> np.ndarray:
-        ww = weights[window][order]
-        return np.cumsum(ww)[last]
-
-    num1 = jump_cumsum(w_above * d) / s_above - jump_cumsum(w_below * d) / s_below
-    num0 = jump_cumsum(w_above * (1.0 - d)) / s_above - jump_cumsum(w_below * (1.0 - d)) / s_below
-    return RddCdfPair(
-        beta0=StepCdf(knots, num0 / denom0, flipped),
-        beta1=StepCdf(knots, num1 / denom1, flipped),
-        denom1=denom1,
-        denom0=denom0,
-        kernel=KernelSpec(bandwidth=float(h)),
+    ys, r, d = _window_by_outcome(data, h)
+    at_knot, beta1, beta0 = jump_ratio_rows(
+        ys, r, d.astype(float), epanechnikov(r / h), np.abs(r) <= h, s_above, s_below, jump
     )
+    knots = ys[at_knot]
+    return RddCdfPair(
+        beta0=StepCdf(knots, beta0[at_knot], flipped),
+        beta1=StepCdf(knots, beta1[at_knot], flipped),
+        denom1=denom1,
+        denom0=-denom1,
+        bandwidth=float(h),
+    )
+
+
+def _window_by_outcome(data: ObservationSet, h: float):
+    """(y, r, d) of the units within h of the cutoff as one row, sorted
+    by outcome; the only units the kernel estimators weigh."""
+    near = np.abs(data.r) <= h
+    order = np.argsort(data.y[near], kind="stable")
+    return data.y[near][order][None], data.r[near][order][None], data.d[near][order][None]
+
+
+def arm_threshold_rows(
+    ys: np.ndarray,
+    r: np.ndarray,
+    d: np.ndarray,
+    w: np.ndarray,
+    h: np.ndarray,
+    arm: int,
+    level: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """arm_threshold of each row; ys sorts each row by outcome, and r, d
+    and the kernel weights w follow that order.
+
+    Returns (thresholds, empty); empty flags the rows without arm-taker
+    kernel mass in the window. The interpolation is np.interp over each
+    row's arm takers, done for all rows at once.
+    """
+    keep = (np.abs(r) <= h[:, None]) & (r != 0.0) & (d == arm)
+    ws = np.where(keep, w, 0.0)
+    cum = np.cumsum(ws, axis=1)
+    total = cum[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pos = (cum - 0.5 * ws) / total[:, None]
+    # midpoint ranks do not fall along the arm takers, so those with rank
+    # at or below level come first; find a row's k-th taker by counting
+    seen = np.cumsum(keep, axis=1)
+    below = np.count_nonzero(keep & (pos <= level), axis=1)
+    rows = np.arange(ys.shape[0])
+
+    def taker(k: np.ndarray) -> np.ndarray:
+        return np.minimum(np.count_nonzero(seen < k[:, None], axis=1), ys.shape[1] - 1)
+
+    lo, hi = taker(np.maximum(below, 1)), taker(below + 1)
+    x0, y0 = pos[rows, lo], ys[rows, lo]
+    x1, y1 = pos[rows, hi], ys[rows, hi]
+    inside = (below > 0) & (below < seen[:, -1]) & (x0 != level)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        between = (y1 - y0) / (x1 - x0) * (level - x0) + y0
+    return np.where(inside, between, y0), ~(total > 0.0)
 
 
 def arm_threshold(
@@ -164,6 +248,9 @@ def arm_threshold(
     Reading a high quantile off the estimated complier CDF instead would
     transmit the first-stage ratio noise into the threshold location;
     the weighted arm quantile carries plain local order-statistic noise.
+
+    Tied outcomes take their midpoint ranks in input row order (a stable
+    sort), so the threshold does not depend on the sort algorithm.
     """
     if data.design != "rdd":
         raise ValueError("arm_threshold needs an rdd-design ObservationSet")
@@ -175,15 +262,12 @@ def arm_threshold(
         h = rot_bandwidth(data.r)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    r = data.r
-    keep = (np.abs(r) <= h) & (r != 0.0) & (data.d == arm)
-    w = epanechnikov(r[keep] / h)
-    total = w.sum()
-    if total <= 0.0:
+    ys, r, d = _window_by_outcome(data, h)
+    empty = True
+    if ys.size:
+        thr, (empty,) = arm_threshold_rows(
+            ys, r, d, epanechnikov(r / h), np.array([h], dtype=float), arm, level
+        )
+    if empty:
         raise EmptyWindow(f"no arm-{arm} kernel mass within h = {h:g} of the cutoff")
-    y = data.y[keep]
-    order = np.argsort(y)
-    ys, ws = y[order], w[order]
-    cum = np.cumsum(ws)
-    pos = (cum - 0.5 * ws) / cum[-1]
-    return float(np.interp(level, pos, ys))
+    return float(thr[0])

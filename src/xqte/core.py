@@ -164,6 +164,41 @@ class MonotoneCdf:
     flipped: bool = False
 
 
+def step_sums(ys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted step-CDF kernel: running weight totals read at the knots.
+
+    ys holds outcomes sorted ascending along its last axis, one row per
+    sample; a 1-d array is the one-row case. weights holds per-unit
+    weights in the same order, shape ys.shape or (k, *ys.shape) for k
+    weight arrays at once.
+
+    Returns (at_knot, sums). sums holds the running totals along the
+    last axis, and at_knot marks the last entry of each run of tied
+    outcomes, so a knot's total counts every tied unit.
+    """
+    at_knot = np.ones(ys.shape, dtype=bool)
+    at_knot[..., :-1] = ys[..., 1:] != ys[..., :-1]
+    return at_knot, np.cumsum(weights, axis=-1)
+
+
+def pack_rows(keep: np.ndarray, *columns: tuple[np.ndarray, float]) -> list[np.ndarray]:
+    """Move each row's kept entries to its front, in order, and cut the
+    rows to the longest run of them.
+
+    columns are (values, fill) pairs shaped like keep; the packed rows
+    are padded with fill.
+    """
+    ri, ci = np.nonzero(keep)
+    slot = np.cumsum(keep, axis=1)[ri, ci] - 1
+    width = int(slot.max(initial=0)) + 1
+    packed = []
+    for values, fill in columns:
+        out = np.full((keep.shape[0], width), fill, dtype=values.dtype)
+        out[ri, slot] = values[ri, ci]
+        packed.append(out)
+    return packed
+
+
 def evaluate(cdf: StepCdf | MonotoneCdf, y) -> np.ndarray | float:
     """Left-continuous evaluation of a step CDF at scalar or array y."""
     y_arr = np.asarray(y, dtype=float)
@@ -200,11 +235,29 @@ def tail_view(cdf: StepCdf) -> StepCdf:
     survival levels, which is all the tail fit consumes, are unchanged
     by the rescaling.
     """
-    peak = np.maximum.accumulate(cdf.values)
-    top = peak[-1]
-    if top <= 0.0:
+    view, degenerate = tail_view_rows(cdf.values[None])
+    if degenerate[0]:
         raise DegenerateDenominator("CDF estimate has no positive mass")
-    return StepCdf(cdf.knots, np.clip(peak / top, 0.0, 1.0), cdf.flipped)
+    return StepCdf(cdf.knots, view[0], cdf.flipped)
+
+
+def tail_view_rows(
+    values: np.ndarray, at_knot: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """tail_view of each row of a (samples x m) matrix of CDF values.
+
+    Only the entries marked at_knot (all, when omitted) are values; the
+    others take the value of the preceding knot, or 0 before the first.
+    Returns (view, degenerate); degenerate flags the rows whose values
+    never rise above 0, where tail_view raises.
+    """
+    if at_knot is not None:
+        values = np.where(at_knot, values, -np.inf)
+    peak = np.maximum.accumulate(values, axis=1)
+    top = peak[:, -1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        view = np.clip(peak / top, 0.0, 1.0)
+    return view, ~(top[:, 0] > 0.0)
 
 
 def left_inverse(m: MonotoneCdf, q: float) -> float:

@@ -12,6 +12,17 @@ subset so the draws carry the threshold noise as well.
 
 Draw streams come from a caller-supplied rng_for_draw(t) so results do
 not depend on worker count or draw order.
+
+Discontinuity draws are computed in chunks rather than one at a time.
+The full sample is sorted by outcome once (stably, so tied outcomes
+keep their row order); each chunk gathers its draws as a (draws x b)
+matrix in that order, cut down to each draw's bandwidth window, plus
+one in index order for the order-sensitive kernel sums, and re-derives
+every draw's bandwidth, jump-ratio CDFs, arm thresholds, proper-CDF
+views and tail indices with row-wise array operations. A chunk holds at
+most CHUNK_ELEMENTS entries per matrix, so memory stays bounded
+whatever b and the draw count are. The results equal those of the
+per-draw recipe bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +33,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EstimationError, StepCdf, tail_view
+from .cdf_rdd import (
+    DENOM_EPS,
+    arm_threshold_rows,
+    epanechnikov,
+    jump_ratio_rows,
+    rot_bandwidths,
+    side_masses,
+)
+from .core import EstimationError, StepCdf, pack_rows, tail_view, tail_view_rows
 from .tail import (
     EmptyTail,
     NonPositiveSurvival,
@@ -30,7 +49,11 @@ from .tail import (
     extrapolated_quantiles,
     pareto_index,
     qte_point,
+    view_index_rows,
 )
+
+# entries per (draws x b) matrix in one chunk of discontinuity draws
+CHUNK_ELEMENTS = 2**13
 
 
 class UnstableSubsampling(EstimationError):
@@ -122,33 +145,6 @@ def _tail_at_frozen_threshold(cdf: StepCdf, full_fit: TailFit) -> tuple[float, f
     return fit.alpha_hat, fit.s_min
 
 
-def _tail_at_subset_threshold(
-    cdf: StepCdf, threshold: float, full_fit: TailFit
-) -> tuple[float, float]:
-    """Index and (shifted) threshold for a draw that re-selects its own
-    threshold, mirroring the flat-tail fallback of the full-sample
-    discontinuity recipe.
-
-    The draw's threshold survival stays pinned at the nominal level, so
-    across draws only the threshold location and the slope move. A
-    subset threshold that lands at or below zero on the shifted scale
-    cannot carry a tail fit and degrades to the flat boundary too.
-    """
-    view = tail_view(cdf)
-    if full_fit.shift != 0.0:
-        view = view.shifted(full_fit.shift)
-    th = threshold + full_fit.shift
-    if th <= 0.0:
-        return math.inf, th
-    try:
-        fit = pareto_index(view, th, full_fit.omega)
-    except (NonPositiveSurvival, EmptyTail):
-        return math.inf, th
-    if fit.alpha_hat <= 0.0:
-        return math.inf, th
-    return fit.alpha_hat, th
-
-
 @dataclass(frozen=True)
 class TailDraws:
     """Retained subsample tail re-estimates.
@@ -170,34 +166,42 @@ def subsample_tail_pairs(
     cfg: SubsampleConfig,
     rng_for_draw: Callable[[int], np.random.Generator],
 ) -> TailDraws:
-    """Per-draw (index, survival) pairs at the frozen thresholds.
+    """Per-draw tail re-estimates: (index, survival) pairs at the frozen
+    thresholds, or (index, threshold) pairs for the discontinuity design.
 
     A draw fails when re-estimation raises an EstimationError or either
     index comes out negative; more than max_failure_share failures
     raises UnstableSubsampling. Indices are sorted so a draw is a set,
     not a permutation.
     """
+    b = cfg.validate(pipeline.data.n)
+    if pipeline.data.design == "rdd":
+        alphas, thresholds, failed_draws = _rdd_draws(pipeline, cfg, b, rng_for_draw)
+        alphas, thresholds = alphas[~failed_draws], thresholds[~failed_draws]
+        survivals = np.tile([pipeline.fit1.s_min, pipeline.fit0.s_min], (len(alphas), 1))
+        failed = int(failed_draws.sum())
+    else:
+        alphas, survivals, thresholds, failed = _frozen_draws(pipeline, cfg, b, rng_for_draw)
+    if failed > cfg.max_failure_share * cfg.draws:
+        raise UnstableSubsampling(
+            f"{failed} of {cfg.draws} subsample draws failed; "
+            "the tail fit is too fragile at this sample size"
+        )
+    return TailDraws(alphas=alphas, survivals=survivals, thresholds=thresholds, failed=failed)
+
+
+def _frozen_draws(pipeline, cfg, b, rng_for_draw):
+    """Draws at the frozen full-sample thresholds, refitted one by one."""
     n = pipeline.data.n
-    b = cfg.validate(n)
-    refit_thr = getattr(pipeline, "refit_thresholds", None)
     alphas: list[tuple[float, float]] = []
     survivals: list[tuple[float, float]] = []
-    thresholds: list[tuple[float, float]] = []
     failed = 0
     for t in range(cfg.draws):
-        rng = rng_for_draw(t)
-        idx = np.sort(rng.choice(n, size=b, replace=False))
+        idx = np.sort(rng_for_draw(t).choice(n, size=b, replace=False))
         try:
             cdf1, cdf0 = pipeline.refit_cdfs(idx)
-            if refit_thr is None:
-                a1, s1 = _tail_at_frozen_threshold(cdf1, pipeline.fit1)
-                a0, s0 = _tail_at_frozen_threshold(cdf0, pipeline.fit0)
-                th1, th0 = pipeline.fit1.y_min, pipeline.fit0.y_min
-            else:
-                thr1_raw, thr0_raw = refit_thr(idx)
-                a1, th1 = _tail_at_subset_threshold(cdf1, thr1_raw, pipeline.fit1)
-                a0, th0 = _tail_at_subset_threshold(cdf0, thr0_raw, pipeline.fit0)
-                s1, s0 = pipeline.fit1.s_min, pipeline.fit0.s_min
+            a1, s1 = _tail_at_frozen_threshold(cdf1, pipeline.fit1)
+            a0, s0 = _tail_at_frozen_threshold(cdf0, pipeline.fit0)
         except EstimationError:
             failed += 1
             continue
@@ -206,18 +210,67 @@ def subsample_tail_pairs(
             continue
         alphas.append((a1, a0))
         survivals.append((s1, s0))
-        thresholds.append((th1, th0))
-    if failed > cfg.max_failure_share * cfg.draws:
-        raise UnstableSubsampling(
-            f"{failed} of {cfg.draws} subsample draws failed; "
-            "the tail fit is too fragile at this sample size"
-        )
-    return TailDraws(
-        alphas=np.asarray(alphas, dtype=float).reshape(-1, 2),
-        survivals=np.asarray(survivals, dtype=float).reshape(-1, 2),
-        thresholds=np.asarray(thresholds, dtype=float).reshape(-1, 2),
-        failed=failed,
-    )
+    alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
+    thresholds = np.tile([pipeline.fit1.y_min, pipeline.fit0.y_min], (len(alphas), 1))
+    return alphas, np.asarray(survivals, dtype=float).reshape(-1, 2), thresholds, failed
+
+
+def _rdd_draws(pipeline, cfg, b, rng_for_draw):
+    """Discontinuity draws, a chunk of draws at a time.
+
+    Each draw repeats the full-sample recipe on its subset: its own
+    rule-of-thumb bandwidth, jump-ratio CDFs and kernel-weighted arm
+    thresholds; then each arm's index on the proper-CDF view at the
+    re-selected threshold, on the full fit's shifted scale. A threshold
+    at or below 0 there, or a degenerate tail, gives the flat-tail
+    index inf, as in the full-sample fallback; the draw's threshold
+    survival stays pinned at the nominal level.
+
+    Returns (alphas, thresholds, failed) for every draw: (draws, 2)
+    arrays with arm 1 in column 0, and a mask of the draws whose refit
+    would raise an EstimationError.
+    """
+    data, settings = pipeline.data, pipeline.settings
+    n = data.n
+    order = np.argsort(data.y, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    # sorted copies end in a sentinel unit that packed rows are padded with
+    y_sorted = np.append(data.y[order], np.inf)
+    r_sorted = np.append(data.r[order], np.inf)
+    d = data.d.astype(float)
+    d_sorted = np.append(d[order], 0.0)
+    alphas = np.empty((cfg.draws, 2))
+    thresholds = np.empty((cfg.draws, 2))
+    failed = np.empty(cfg.draws, dtype=bool)
+    step = max(1, CHUNK_ELEMENTS // b)
+    for start in range(0, cfg.draws, step):
+        chunk = slice(start, min(start + step, cfg.draws))
+        draws = range(start, chunk.stop)
+        idx = np.sort([rng_for_draw(t).choice(n, size=b, replace=False) for t in draws], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = rot_bandwidths(data.r[idx])
+            s_above, s_below, jump = side_masses(data.r[idx], d[idx], h)
+            by_outcome = np.sort(rank[idx], axis=1)
+            # only the window carries kernel weight, places knots and holds
+            # the arm takers, so each row keeps its window entries alone
+            window = np.abs(r_sorted[by_outcome]) <= h[:, None]
+            (units,) = pack_rows(window, (by_outcome, n))
+            ys, r, dd = y_sorted[units], r_sorted[units], d_sorted[units]
+            w = epanechnikov(r / h[:, None])
+            inside = units < n
+            at_knot, beta1, beta0 = jump_ratio_rows(ys, r, dd, w, inside, s_above, s_below, jump)
+            bad = ~((h > 0.0) & (s_above > 0.0) & (s_below > 0.0) & (np.abs(jump) >= DENOM_EPS))
+            arms = ((1, beta1, pipeline.fit1), (0, beta0, pipeline.fit0))
+            for col, (arm, beta, fit) in enumerate(arms):
+                thr, empty = arm_threshold_rows(ys, r, dd, w, h, arm, settings.ymin_level)
+                view, degenerate = tail_view_rows(beta, at_knot)
+                th = thr + fit.shift
+                alphas[chunk, col] = view_index_rows(ys + fit.shift, view, at_knot, th, fit.omega)
+                thresholds[chunk, col] = th
+                bad |= empty | degenerate
+        failed[chunk] = bad
+    return alphas, thresholds, failed
 
 
 def qte_draws_from_tails(
@@ -242,18 +295,6 @@ def qte_draws_from_tails(
     return extrapolated_quantiles(
         fit1, q, a1, survivals=s1, thresholds=th1
     ) - extrapolated_quantiles(fit0, q, a0, survivals=s0, thresholds=th0)
-
-
-def subsample_draws(
-    pipeline,
-    q: float,
-    cfg: SubsampleConfig,
-    rng_for_draw: Callable[[int], np.random.Generator],
-) -> tuple[np.ndarray, int]:
-    """QTE draws for a single quantile level. Prefer estimate_qte_batch
-    when several levels share the same draws."""
-    tails = subsample_tail_pairs(pipeline, cfg, rng_for_draw)
-    return qte_draws_from_tails(pipeline.fit1, pipeline.fit0, tails, q), tails.failed
 
 
 @dataclass(frozen=True)

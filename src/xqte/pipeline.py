@@ -21,6 +21,7 @@ from .core import (
     ObservationSet,
     StepCdf,
     flip_outcomes,
+    step_sums,
     tail_view,
 )
 from .inference import RateSpec
@@ -66,7 +67,6 @@ class FittedPipeline:
     fit0: TailFit
     rate: RateSpec
     refit_cdfs: Callable[[np.ndarray], tuple[StepCdf, StepCdf]]
-    refit_thresholds: Callable[[np.ndarray], tuple[float, float]] | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -79,8 +79,8 @@ def ecdf(y: np.ndarray, flipped: bool = False) -> StepCdf:
     ys = np.sort(np.asarray(y, dtype=float))
     if ys.size == 0:
         raise DegenerateDenominator("empty arm: no observations to build a CDF from")
-    knots, counts = np.unique(ys, return_counts=True)
-    return StepCdf(knots, np.cumsum(counts) / ys.size, flipped)
+    at_knot, counts = step_sums(ys, np.ones(ys.size))
+    return StepCdf(ys[at_knot], counts[at_knot] / ys.size, flipped)
 
 
 def _rdd_cdfs(data: ObservationSet, settings: EstimatorSettings, flipped: bool):
@@ -158,9 +158,9 @@ def fit_pipeline(
 
     The discontinuity design does not select thresholds from the
     estimated CDF at all: each arm's threshold is the kernel-weighted
-    quantile of that arm's outcomes near the cutoff (arm_threshold), and
-    the pipeline also exposes refit_thresholds so subsampling can
-    re-select thresholds per draw the same way.
+    quantile of that arm's outcomes near the cutoff (arm_threshold).
+    Subsampling re-selects them per draw the same way, in its own
+    batched engine (inference.subsample_tail_pairs).
     """
     settings = settings or EstimatorSettings()
     if tail_side not in ("upper", "lower"):
@@ -169,7 +169,6 @@ def fit_pipeline(
     if flipped:
         data = flip_outcomes(data)
 
-    refit_thresholds = None
     if data.design == "iv":
         model = fit_logit(data.x, data.z)
         pair = kappa_cdf(data, model, p_trim=settings.trim, flipped=flipped)
@@ -197,16 +196,6 @@ def fit_pipeline(
             c1, c0, _ = _rdd_cdfs(sub, settings, flipped)
             return c1, c0
 
-        def refit_thresholds(idx: np.ndarray) -> tuple[float, float]:
-            # a draw mimics a fresh size-b estimation, so the subset
-            # re-derives its own bandwidth along with its own thresholds
-            sub = data.subset(idx)
-            hb = rot_bandwidth(sub.r)
-            return (
-                arm_threshold(sub, 1, hb, settings.ymin_level),
-                arm_threshold(sub, 0, hb, settings.ymin_level),
-            )
-
         rate = RateSpec("rdd")
     elif data.design == "direct":
         cdf1, cdf0, meta = _direct_cdfs(data, flipped)
@@ -233,6 +222,5 @@ def fit_pipeline(
         fit0=fit0,
         rate=rate,
         refit_cdfs=refit,
-        refit_thresholds=refit_thresholds,
         meta=meta,
     )

@@ -25,7 +25,15 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .core import EstimationError, MonotoneCdf, StepCdf, evaluate, left_inverse, monotone_rearrange
+from .core import (
+    EstimationError,
+    MonotoneCdf,
+    StepCdf,
+    evaluate,
+    left_inverse,
+    monotone_rearrange,
+    pack_rows,
+)
 
 
 class NonPositiveSurvival(EstimationError):
@@ -148,6 +156,10 @@ def pareto_index(
     log_ratio = np.log(surv[pos] / s_min)
     num = float(np.sum(log_ratio * _w_mass(u_lo, u_hi, omega)))
     den = float(np.sum(_log_antideriv(u_lo, omega) - _log_antideriv(u_hi, omega)))
+    if den <= 0.0:
+        # the positive-survival tail is narrower than float resolution at
+        # the threshold (say, a threshold an ulp below its only knot)
+        raise EmptyTail(f"tail beyond threshold {y_min:g} has no resolvable width")
     alpha = -num / den
     return TailFit(
         y_min=float(y_min),
@@ -158,6 +170,69 @@ def pareto_index(
         t_max=t_max,
         flipped=cdf.flipped,
     )
+
+
+def view_index_rows(
+    knots: np.ndarray,
+    view: np.ndarray,
+    at_knot: np.ndarray,
+    y_min: np.ndarray,
+    omega: float = 1.0,
+) -> np.ndarray:
+    """pareto_index of many proper-CDF views at once, one per row.
+
+    knots (sorted along each row) and view come from tail_view_rows:
+    entries off at_knot carry the preceding knot's view value, or 0
+    before the first. y_min holds one threshold per row. Returns the
+    fitted index of each row, or inf where pareto_index would raise
+    NonPositiveSurvival or EmptyTail or fit an index at or below 0, and
+    where the threshold is not positive: the flat-tail boundary.
+
+    On a view, survival never rises, so the segments with positive
+    survival come first and the last knot (view 1) ends them. Each
+    row's integrals are summed in pareto_index's order with np.sum's
+    rounding, so the indices match it bit for bit.
+    """
+    rows = np.arange(knots.shape[0])
+    th = y_min[:, None]
+    # view just below the threshold and at it (evaluate and _tail_segments)
+    n_below = np.count_nonzero(knots < th, axis=1)
+    n_upto = np.count_nonzero(knots <= th, axis=1)
+    s_min = 1.0 - np.where(n_below > 0, view[rows, n_below - 1], 0.0)
+    prev = np.where(n_upto > 0, view[rows, n_upto - 1], 0.0)
+
+    # segment j of a row runs from lefts[:, j] to k[:, j], the row's
+    # j-th knot beyond the threshold, with survival surv[:, j]
+    beyond = at_knot & (knots > th)
+    k, v = pack_rows(beyond, (knots, np.inf), (view, 1.0))
+    lefts = np.column_stack([y_min, k[:, :-1]])
+    surv = 1.0 - np.column_stack([prev, v[:, :-1]])
+    fit = (beyond.any(axis=1) & (s_min > 0.0) & (y_min > 0.0))[:, None]
+    seg = fit & (surv > 0.0)
+    count = np.count_nonzero(seg, axis=1)
+    th_seg = np.repeat(y_min, count)
+    u_lo, u_hi = lefts[seg] / th_seg, k[seg] / th_seg
+    log_ratio = np.log(surv[seg] / np.repeat(s_min, count))
+    num = _row_sums(seg, log_ratio * _w_mass(u_lo, u_hi, omega))
+    den = _row_sums(seg, _log_antideriv(u_lo, omega) - _log_antideriv(u_hi, omega))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = -num / den
+        return np.where((den > 0.0) & (alpha > 0.0), alpha, np.inf)
+
+
+def _row_sums(seg: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """np.sum of each row's terms, bit for bit; seg marks where the terms
+    sit in their rows, a prefix of each row.
+
+    np.sum adds fewer than 8 entries one by one from 0, as a running sum
+    along the zero-padded row does; longer rows go through np.sum.
+    """
+    padded = np.zeros(seg.shape)
+    padded[seg] = terms
+    out = np.cumsum(padded, axis=1)[:, -1]
+    for i in np.nonzero(np.count_nonzero(seg, axis=1) >= 8)[0]:
+        out[i] = np.sum(padded[i, seg[i]])
+    return out
 
 
 def _scale_from(s_min: float, y_min: float, alpha: float) -> float:

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from xqte.cdf_rdd import (
     EmptyWindow,
     ZeroVariance,
+    arm_threshold,
     epanechnikov,
     one_sided_nw,
     rdd_cdf,
@@ -194,3 +197,36 @@ def test_rdd_cdf_large_n_recovers_truth():
     sup0 = np.max(np.abs(pair.beta0.values[inner] - norm.cdf(k)))
     assert sup1 <= 0.03
     assert sup0 <= 0.03
+
+
+# --------------------------------------------------------- arm threshold
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+    arm=st.sampled_from([0, 1]),
+    level=st.floats(0.01, 0.99),
+)
+def test_arm_threshold_matches_interp_oracle(n, seed, ties, arm, level):
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(-1.0, 1.0, n)
+    d = rng.integers(0, 2, n)
+    y = rng.standard_normal(n)
+    if ties:
+        y = np.round(y)
+    data = _rdd_data(y, d, r)
+    h = 0.7
+    keep = (np.abs(r) <= h) & (r != 0.0) & (d == arm)
+    w = np.array([0.75 * (1.0 - (ri / h) ** 2) for ri in r[keep]])
+    if not keep.any():
+        with pytest.raises(EmptyWindow):
+            arm_threshold(data, arm, h, level)
+        return
+    # tied outcomes take their ranks in input order
+    order = np.argsort(y[keep], kind="stable")
+    ys, ws = y[keep][order], w[order]
+    cum = np.cumsum(ws)
+    want = np.interp(level, (cum - 0.5 * ws) / cum[-1], ys)
+    assert arm_threshold(data, arm, h, level) == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -228,6 +228,16 @@ class TestSimulateCommand:
         value = sd_row.split(",")[2]
         assert value == "" or float(value) == 0.0
 
+    def test_rdd_threshold_an_ulp_below_a_knot_counts_as_flat(self, tmp_path):
+        # replication 7, draw 275 re-selects an arm threshold an ulp below
+        # the last knot with positive survival; that draw is a flat tail
+        out = tmp_path / "sim_rdd"
+        argv = ["simulate", "--design", "rdd", "--n", "10000", "--q", "0.025",
+                "--B", "500", "--reps", "8", "--seed", "206000", "--out", str(out)]
+        assert main(argv) == 0
+        cell = json.loads((out / "run.json").read_text())["_meta"]["cells"][0]
+        assert (cell["n_used"], cell["n_failed"]) == (8, 0)
+
     def test_unknown_design_rejected(self, tmp_path):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps(

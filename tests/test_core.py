@@ -14,6 +14,7 @@ from xqte.core import (
     flip_outcomes,
     left_inverse,
     monotone_rearrange,
+    step_sums,
     substream,
 )
 
@@ -232,3 +233,19 @@ def test_substream_order_independent():
     _ = substream(11, 5).standard_normal(1000)
     second = substream(11, 2).standard_normal(4)
     assert np.array_equal(first, second)
+
+
+# --------------------------------------------------------- step-CDF kernel
+
+def test_step_sums_knots_at_last_entry_of_each_tie():
+    ys = np.array([[1.0, 2.0, 2.0, 3.0, 3.0, 4.0], [0.0, 0.0, 1.0, 1.0, 5.0, 6.0]])
+    weights = np.arange(1.0, 13.0).reshape(2, 6)
+    at_knot, sums = step_sums(ys, np.stack([weights, 2.0 * weights]))
+    assert at_knot.tolist() == [[True, False, True, False, True, True],
+                                [False, True, False, True, True, True]]
+    assert sums[0][at_knot].tolist() == [1.0, 6.0, 15.0, 21.0, 15.0, 34.0, 45.0, 57.0]
+    assert np.array_equal(sums[1], 2.0 * sums[0])
+    # the one-row case
+    at_knot, counts = step_sums(ys[1], np.ones(6))
+    assert ys[1][at_knot].tolist() == [0.0, 1.0, 5.0, 6.0]
+    assert counts[at_knot].tolist() == [2.0, 4.0, 5.0, 6.0]

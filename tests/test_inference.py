@@ -12,7 +12,6 @@ from xqte.inference import (
     _tail_at_frozen_threshold,
     estimate_qte_batch,
     qte_draws_from_tails,
-    subsample_draws,
     subsample_tail_pairs,
     subsampling_ci,
 )
@@ -177,14 +176,16 @@ class TestSharedDrawsAcrossLevels:
             assert r.ci == ci
 
     def test_single_level_helper_agrees(self):
+        # one level through the batch entry point uses the same draws
         data = direct_set(pareto(11, 700, 2.0), pareto(12, 700, 2.0))
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
         cfg = SubsampleConfig(draws=100)
-        draws_a, failed_a = subsample_draws(pipe, 0.95, cfg, draw_stream(13))
+        (res,) = estimate_qte_batch(pipe, [0.95], cfg, draw_stream(13))
         tails = subsample_tail_pairs(pipe, cfg, draw_stream(13))
-        draws_b = qte_draws_from_tails(pipe.fit1, pipe.fit0, tails, 0.95)
-        assert failed_a == tails.failed
-        assert np.array_equal(draws_a, draws_b)
+        draws = qte_draws_from_tails(pipe.fit1, pipe.fit0, tails, 0.95)
+        assert res.ci.n_failed == tails.failed
+        assert res.ci.n_draws == draws.size == 100 - tails.failed
+        assert res.ci == subsampling_ci(draws, res.estimate, cfg, pipe.rate, data.n, tails.failed)
 
 
 def heavy_lower_tail_arm(key, n):

@@ -145,6 +145,14 @@ def test_pareto_index_errors():
         pareto_index(saturated, y_min=1.5)
 
 
+def test_pareto_index_zero_width_tail_is_empty():
+    # the threshold sits an ulp below the last knot, where survival drops
+    # to zero: the only positive segment has no width in floating point
+    cdf = StepCdf(np.array([0.4, 0.8971869061630902]), np.array([0.6, 1.0]))
+    with pytest.raises(EmptyTail):
+        pareto_index(cdf, y_min=np.nextafter(0.8971869061630902, 0.0))
+
+
 def test_pareto_index_negative_alpha_flagged_not_raised():
     # survival rises above its threshold value, so the log ratio is positive
     cdf = StepCdf(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.3, 1.0]))
