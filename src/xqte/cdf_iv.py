@@ -137,7 +137,6 @@ def kappa_cdf(
     data: ObservationSet,
     model: LogitModel,
     p_trim: float = 0.01,
-    flipped: bool = False,
 ) -> KappaCdfPair:
     """Kappa-weighted counterfactual CDF pair on the grid of distinct outcomes.
 
@@ -167,8 +166,8 @@ def kappa_cdf(
     vals1, vals0 = sums[:, at_knot] / (n * denom)
     knots = ys[at_knot]
     return KappaCdfPair(
-        beta0=StepCdf(knots, vals0, flipped),
-        beta1=StepCdf(knots, vals1, flipped),
+        beta0=StepCdf(knots, vals0),
+        beta1=StepCdf(knots, vals1),
         denom=denom,
         p_trim=p_trim,
     )

@@ -20,7 +20,6 @@ and arm_threshold are their one-row case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
 
 import numpy as np
 
@@ -56,27 +55,6 @@ def rot_bandwidth(r: np.ndarray) -> float:
     if h == 0.0:
         raise ZeroVariance("running variable is constant")
     return h
-
-
-def one_sided_nw(
-    data: ObservationSet,
-    side: Literal["above", "below"],
-    g: Callable[[ObservationSet], np.ndarray] | np.ndarray,
-    h: float,
-) -> float:
-    """Kernel-weighted mean of g over records strictly on one side of 0."""
-    if data.design != "rdd":
-        raise ValueError("one_sided_nw needs an rdd-design ObservationSet")
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    r = data.r
-    mask = r > 0 if side == "above" else r < 0
-    gv = g(data) if callable(g) else np.asarray(g, dtype=float)
-    w = epanechnikov(r[mask] / h)
-    total = w.sum()
-    if total <= 0.0:
-        raise EmptyWindow(f"no kernel mass {side} the cutoff within h = {h:g}")
-    return float((w * gv[mask]).sum() / total)
 
 
 def side_masses(
@@ -139,11 +117,9 @@ class RddCdfPair:
     beta0: StepCdf
     beta1: StepCdf
     denom1: float
-    denom0: float
-    bandwidth: float
 
 
-def rdd_cdf(data: ObservationSet, h: float | None = None, flipped: bool = False) -> RddCdfPair:
+def rdd_cdf(data: ObservationSet, h: float | None = None) -> RddCdfPair:
     """Counterfactual CDF pair on the grid of distinct windowed outcomes.
 
     Outcomes with |r| > h carry no kernel weight and do not contribute
@@ -174,11 +150,9 @@ def rdd_cdf(data: ObservationSet, h: float | None = None, flipped: bool = False)
     )
     knots = ys[at_knot]
     return RddCdfPair(
-        beta0=StepCdf(knots, beta0[at_knot], flipped),
-        beta1=StepCdf(knots, beta1[at_knot], flipped),
+        beta0=StepCdf(knots, beta0[at_knot]),
+        beta1=StepCdf(knots, beta1[at_knot]),
         denom1=denom1,
-        denom0=-denom1,
-        bandwidth=float(h),
     )
 
 

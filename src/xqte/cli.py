@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import EstimationError, ObservationSet, StepCdf, evaluate, substream, tail_view
-from .inference import SubsampleConfig, estimate_qte_batch
+from .inference import RATE_EXPONENT, SubsampleConfig, estimate_qte_batch
 from .pipeline import EstimatorSettings, FittedPipeline, fit_pipeline
 from .simulate import McConfig, McReport, format_report, run_mc
 
@@ -282,7 +282,7 @@ def write_cdf_csv(path: Path, pipe: FittedPipeline) -> None:
             w.writerow([_fmt(y), _fmt(b0), _fmt(b1)])
 
 
-def read_cdf_csv(path: Path | str, flipped: bool = False) -> tuple[StepCdf, StepCdf]:
+def read_cdf_csv(path: Path | str) -> tuple[StepCdf, StepCdf]:
     """Re-ingest a cdf.csv; returns (beta1, beta0) bit-identical to the
     pair that wrote it."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -293,7 +293,7 @@ def read_cdf_csv(path: Path | str, flipped: bool = False) -> tuple[StepCdf, Step
         cols = [[float(c) for c in row] for row in reader if row]
     arr = np.asarray(cols, dtype=float)
     knots = arr[:, 0]
-    return StepCdf(knots, arr[:, 2], flipped), StepCdf(knots, arr[:, 1], flipped)
+    return StepCdf(knots, arr[:, 2]), StepCdf(knots, arr[:, 1])
 
 
 def write_paretofit_csv(path: Path, pipe: FittedPipeline) -> None:
@@ -407,13 +407,12 @@ def cmd_estimate(cfg: RunConfig) -> None:
     meta = {
         "n_rows": data.n,
         "resolved_b": sub.resolve_b(data.n),
-        "rate_exponent": pipe.rate.exponent,
-        "flipped": pipe.flipped,
+        "rate_exponent": RATE_EXPONENT[data.design],
+        "flipped": pipe.tail_side == "lower",
         "discarded_draws": results[0].ci.n_failed,
         "arm1": _arm_summary(pipe.fit1),
         "arm0": _arm_summary(pipe.fit0),
-        "design_meta": {k: v for k, v in pipe.meta.items()
-                        if k not in ("design", "tail_side")},
+        "design_meta": pipe.meta,
         "outputs": ["cdf.csv", "paretofit.csv", "qte.csv"],
     }
     write_run_json(outdir / "run.json", cfg, meta)

@@ -130,14 +130,10 @@ class StepCdf:
     (knots[i-1], knots[i]], and values[-1] above the last knot. Values
     are stored raw; they may leave [0, 1] or be non-monotone, and no
     clipping happens here.
-
-    flipped records whether the underlying outcomes were negated before
-    estimation, so downstream quantile lookups know to map back.
     """
 
     knots: np.ndarray
     values: np.ndarray
-    flipped: bool = False
 
     def __post_init__(self):
         knots = _check_finite(np.asarray(self.knots, dtype=float), "knots")
@@ -152,7 +148,7 @@ class StepCdf:
         object.__setattr__(self, "values", values)
 
     def shifted(self, delta: float) -> "StepCdf":
-        return StepCdf(self.knots + delta, self.values, self.flipped)
+        return StepCdf(self.knots + delta, self.values)
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,6 @@ class MonotoneCdf:
 
     knots: np.ndarray
     values: np.ndarray
-    flipped: bool = False
 
 
 def step_sums(ys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +212,7 @@ def monotone_rearrange(cdf: StepCdf) -> MonotoneCdf:
     the direction of earlier knots.
     """
     clipped = np.clip(cdf.values, 0.0, 1.0)
-    return MonotoneCdf(cdf.knots, np.maximum.accumulate(clipped), cdf.flipped)
+    return MonotoneCdf(cdf.knots, np.maximum.accumulate(clipped))
 
 
 def tail_view(cdf: StepCdf) -> StepCdf:
@@ -238,7 +233,7 @@ def tail_view(cdf: StepCdf) -> StepCdf:
     view, degenerate = tail_view_rows(cdf.values[None])
     if degenerate[0]:
         raise DegenerateDenominator("CDF estimate has no positive mass")
-    return StepCdf(cdf.knots, view[0], cdf.flipped)
+    return StepCdf(cdf.knots, view[0])
 
 
 def tail_view_rows(

@@ -42,6 +42,7 @@ from .cdf_rdd import (
     side_masses,
 )
 from .core import EstimationError, StepCdf, pack_rows, tail_view, tail_view_rows
+from .pipeline import FittedPipeline, subset_cdfs
 from .tail import (
     EmptyTail,
     NonPositiveSurvival,
@@ -55,32 +56,15 @@ from .tail import (
 # entries per (draws x b) matrix in one chunk of discontinuity draws
 CHUNK_ELEMENTS = 2**13
 
+# Convergence-rate exponent per design: the scaled dispersion
+# (b/n)^exponent (draw - point) mimics the sampling error of the full
+# sample. RDD estimates converge at the nonparametric n^(2/5) rate, IV
+# and direct designs at root-n.
+RATE_EXPONENT = {"iv": 0.5, "rdd": 0.4, "direct": 0.5}
+
 
 class UnstableSubsampling(EstimationError):
     """Too many subsample draws failed to produce a usable tail fit."""
-
-
-@dataclass(frozen=True)
-class RateSpec:
-    """Convergence-rate correction for subsampled draws.
-
-    The scaled dispersion rho_b (draw - point) mimics the sampling error
-    of the full sample. RDD estimates converge at the nonparametric
-    n^(2/5) rate; IV and direct designs at root-n.
-    """
-
-    design: str
-
-    def __post_init__(self):
-        if self.design not in ("iv", "rdd", "direct"):
-            raise ValueError(f"unknown design {self.design!r}")
-
-    @property
-    def exponent(self) -> float:
-        return 0.4 if self.design == "rdd" else 0.5
-
-    def ratio(self, b: int, n: int) -> float:
-        return (b / n) ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -162,7 +146,7 @@ class TailDraws:
 
 
 def subsample_tail_pairs(
-    pipeline,
+    pipeline: FittedPipeline,
     cfg: SubsampleConfig,
     rng_for_draw: Callable[[int], np.random.Generator],
 ) -> TailDraws:
@@ -199,7 +183,7 @@ def _frozen_draws(pipeline, cfg, b, rng_for_draw):
     for t in range(cfg.draws):
         idx = np.sort(rng_for_draw(t).choice(n, size=b, replace=False))
         try:
-            cdf1, cdf0 = pipeline.refit_cdfs(idx)
+            cdf1, cdf0 = subset_cdfs(pipeline, idx)
             a1, s1 = _tail_at_frozen_threshold(cdf1, pipeline.fit1)
             a0, s0 = _tail_at_frozen_threshold(cdf0, pipeline.fit0)
         except EstimationError:
@@ -274,27 +258,23 @@ def _rdd_draws(pipeline, cfg, b, rng_for_draw):
 
 
 def qte_draws_from_tails(
-    fit1: TailFit, fit0: TailFit, tails: TailDraws, q: float
+    fit1: TailFit, fit0: TailFit, tails: TailDraws, level: float
 ) -> np.ndarray:
-    """QTE draws on the original outcome scale, one per retained pair.
+    """Upper-tail QTE draws at the given level, one per retained pair.
 
     Shifts are held at their full-sample values; each draw contributes
     its own tail slope, threshold survival and threshold location (the
     last two frozen per design, see TailDraws).
     """
-    if fit1.flipped != fit0.flipped:
-        raise ValueError("arms disagree about outcome flipping")
-    a1, a0 = tails.alphas[:, 0], tails.alphas[:, 1]
-    s1, s0 = tails.survivals[:, 0], tails.survivals[:, 1]
-    th1, th0 = tails.thresholds[:, 0], tails.thresholds[:, 1]
-    if fit1.flipped:
-        level = 1.0 - q
-        return extrapolated_quantiles(
-            fit0, level, a0, survivals=s0, thresholds=th0
-        ) - extrapolated_quantiles(fit1, level, a1, survivals=s1, thresholds=th1)
-    return extrapolated_quantiles(
-        fit1, q, a1, survivals=s1, thresholds=th1
-    ) - extrapolated_quantiles(fit0, q, a0, survivals=s0, thresholds=th0)
+    q1 = extrapolated_quantiles(
+        fit1, level, tails.alphas[:, 0], survivals=tails.survivals[:, 0],
+        thresholds=tails.thresholds[:, 0],
+    )
+    q0 = extrapolated_quantiles(
+        fit0, level, tails.alphas[:, 1], survivals=tails.survivals[:, 1],
+        thresholds=tails.thresholds[:, 1],
+    )
+    return q1 - q0
 
 
 @dataclass(frozen=True)
@@ -312,17 +292,17 @@ def subsampling_ci(
     draws: np.ndarray,
     point: float,
     cfg: SubsampleConfig,
-    rate: RateSpec,
+    design: str,
     n: int,
     n_failed: int = 0,
 ) -> CiResult:
     """Equal-tailed interval from rate-scaled draw dispersion.
 
-    With s_g the g-quantile of rho_b (draw - point), the interval is
-    [point - s_{1-a/2}, point - s_{a/2}].
+    With rho_b = (b/n)^RATE_EXPONENT[design] and s_g the g-quantile of
+    rho_b (draw - point), the interval is [point - s_{1-a/2}, point - s_{a/2}].
     """
     b = cfg.resolve_b(n)
-    rho = rate.ratio(b, n)
+    rho = (b / n) ** RATE_EXPONENT[design]
     scaled = rho * (np.asarray(draws, dtype=float) - point)
     a = 1.0 - cfg.ci_level
     s_lo, s_hi = np.quantile(scaled, [a / 2.0, 1.0 - a / 2.0])
@@ -345,28 +325,39 @@ class QteResult:
 
 
 def estimate_qte_batch(
-    pipeline,
+    pipeline: FittedPipeline,
     q_list: Sequence[float],
     cfg: SubsampleConfig | None = None,
     rng_for_draw: Callable[[int], np.random.Generator] | None = None,
 ) -> list[QteResult]:
     """Point estimates, and intervals when cfg is given, for several
-    quantile levels.
+    quantile levels on the original outcome scale.
 
     The alpha draws do not depend on q, so one set of subsample refits
     serves every level. Omitting cfg skips inference entirely.
+
+    A lower-tail pipeline was fitted on negated outcomes, so level q is
+    estimated at 1 - q there, and the point and every draw are negated
+    before the interval is formed: 0.0 - (Q1 - Q0) equals Q0 - Q1 bit
+    for bit, zero included.
     """
-    points = [qte_point(pipeline.fit1, pipeline.fit0, q) for q in q_list]
+    lower = pipeline.tail_side == "lower"
+    levels = [1.0 - q if lower else q for q in q_list]
+    points = [qte_point(pipeline.fit1, pipeline.fit0, level) for level in levels]
+    if lower:
+        points = [0.0 - p for p in points]
     if cfg is None:
         return [QteResult(q=q, estimate=p, ci=None) for q, p in zip(q_list, points)]
     if rng_for_draw is None:
         raise ValueError("rng_for_draw is required when cfg is given")
     tails = subsample_tail_pairs(pipeline, cfg, rng_for_draw)
     out = []
-    for q, point in zip(q_list, points):
-        draws = qte_draws_from_tails(pipeline.fit1, pipeline.fit0, tails, q)
+    for q, level, point in zip(q_list, levels, points):
+        draws = qte_draws_from_tails(pipeline.fit1, pipeline.fit0, tails, level)
+        if lower:
+            draws = 0.0 - draws
         ci = subsampling_ci(
-            draws, point, cfg, pipeline.rate, pipeline.data.n, tails.failed
+            draws, point, cfg, pipeline.data.design, pipeline.data.n, tails.failed
         )
         out.append(QteResult(q=q, estimate=point, ci=ci))
     return out

@@ -1,20 +1,21 @@
 """End-to-end estimation pipelines: design-specific CDF estimation plus
-tail fits, packaged with a refit hook that subsampling can call on row
+tail fits, and the per-draw CDF refit that subsampling calls on row
 subsets.
 
-A pipeline is fitted on the analysis scale. For lower-tail targets the
-outcomes are flipped on the way in (tail_side="lower") and every fitted
-object carries flipped=True so quantile lookups map back.
+A pipeline is fitted on the analysis scale, where the targets sit in
+the upper tail. For lower-tail targets (tail_side="lower") fit_pipeline
+negates the outcomes on the way in; estimate_qte_batch reflects the
+levels and negates the estimates on the way out, and nothing in between
+knows about it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .cdf_iv import fit_logit, kappa_cdf
+from .cdf_iv import LogitModel, fit_logit, kappa_cdf
 from .cdf_rdd import arm_threshold, rdd_cdf, rot_bandwidth
 from .core import (
     DegenerateDenominator,
@@ -24,7 +25,6 @@ from .core import (
     step_sums,
     tail_view,
 )
-from .inference import RateSpec
 from .tail import (
     EmptyTail,
     NonPositiveSurvival,
@@ -59,40 +59,55 @@ class EstimatorSettings:
 
 @dataclass(frozen=True)
 class FittedPipeline:
+    """Fitted CDFs and tails on the analysis scale. data holds the
+    outcomes as fitted (negated when tail_side is "lower"); logit is the
+    full-sample propensity model of the IV design, None otherwise."""
+
     data: ObservationSet
     settings: EstimatorSettings
+    tail_side: str
     cdf1: StepCdf
     cdf0: StepCdf
     fit1: TailFit
     fit0: TailFit
-    rate: RateSpec
-    refit_cdfs: Callable[[np.ndarray], tuple[StepCdf, StepCdf]]
+    logit: LogitModel | None = None
     meta: dict = field(default_factory=dict)
 
-    @property
-    def flipped(self) -> bool:
-        return self.fit1.flipped
 
-
-def ecdf(y: np.ndarray, flipped: bool = False) -> StepCdf:
+def ecdf(y: np.ndarray) -> StepCdf:
     """Empirical CDF of a sample as a step function."""
     ys = np.sort(np.asarray(y, dtype=float))
     if ys.size == 0:
         raise DegenerateDenominator("empty arm: no observations to build a CDF from")
     at_knot, counts = step_sums(ys, np.ones(ys.size))
-    return StepCdf(ys[at_knot], counts[at_knot] / ys.size, flipped)
+    return StepCdf(ys[at_knot], counts[at_knot] / ys.size)
 
 
-def _rdd_cdfs(data: ObservationSet, settings: EstimatorSettings, flipped: bool):
-    h = rot_bandwidth(data.r)
-    pair = rdd_cdf(data, h=h, flipped=flipped)
-    return pair.beta1, pair.beta0, {"bandwidth": h, "first_stage_jump": pair.denom1}
+def _frozen_cdfs(
+    data: ObservationSet, settings: EstimatorSettings, logit: LogitModel | None
+) -> tuple[StepCdf, StepCdf]:
+    """Treated and control CDFs of the designs whose thresholds stay at
+    their full-sample location: kappa weights under the propensity model
+    logit (IV), or the two arms' empirical CDFs (direct)."""
+    if data.design == "iv":
+        pair = kappa_cdf(data, logit, p_trim=settings.trim)
+        return pair.beta1, pair.beta0
+    if data.design == "direct":
+        return ecdf(data.y[data.d == 1]), ecdf(data.y[data.d == 0])
+    raise ValueError(f"the {data.design!r} design re-selects its thresholds per draw")
 
 
-def _direct_cdfs(data: ObservationSet, flipped: bool):
-    treated = data.y[data.d == 1]
-    control = data.y[data.d == 0]
-    return ecdf(treated, flipped), ecdf(control, flipped), {}
+def subset_cdfs(pipeline: FittedPipeline, idx: np.ndarray) -> tuple[StepCdf, StepCdf]:
+    """Treated and control CDFs refitted on the rows idx of the fitted
+    data, for the IV and direct designs.
+
+    The IV weights on the subset rows come from the full-sample
+    propensity fit: the nuisance converges at the root-n rate, so
+    re-estimating it per draw would only add noise that the rate
+    correction then misattributes to the tail statistic. The
+    discontinuity design refits its draws in inference instead.
+    """
+    return _frozen_cdfs(pipeline.data.subset(idx), pipeline.settings, pipeline.logit)
 
 
 def _rdd_arm_tail(cdf: StepCdf, threshold: float, settings: EstimatorSettings) -> TailFit:
@@ -134,7 +149,6 @@ def _rdd_arm_tail(cdf: StepCdf, threshold: float, settings: EstimatorSettings) -
         c_hat=_scale_from(s_min, y_min, alpha),
         s_min=s_min,
         t_max=float(t_max),
-        flipped=cdf.flipped,
         shift=shift,
     )
 
@@ -146,11 +160,8 @@ def fit_pipeline(
 ) -> FittedPipeline:
     """Fit both counterfactual CDFs and their Pareto tails.
 
-    tail_side "lower" negates outcomes first; estimates then live on the
-    flipped scale and results are mapped back at quantile time. The
-    returned refit hook recomputes the CDF pair on an index subset with
-    the same recipe (IV refits the propensity, RDD re-derives the
-    bandwidth from the subset).
+    tail_side "lower" negates outcomes first; everything is then fitted
+    on the negated scale, and estimate_qte_batch maps the results back.
 
     cdf1 and cdf0 keep the raw estimated values; the tail fits run on
     their proper-CDF view (tail_view), so threshold selection stays well
@@ -165,62 +176,33 @@ def fit_pipeline(
     settings = settings or EstimatorSettings()
     if tail_side not in ("upper", "lower"):
         raise ValueError("tail_side must be 'upper' or 'lower'")
-    flipped = tail_side == "lower"
-    if flipped:
+    if tail_side == "lower":
         data = flip_outcomes(data)
 
-    if data.design == "iv":
-        model = fit_logit(data.x, data.z)
-        pair = kappa_cdf(data, model, p_trim=settings.trim, flipped=flipped)
+    logit = None
+    if data.design == "rdd":
+        h = rot_bandwidth(data.r)
+        pair = rdd_cdf(data, h=h)
         cdf1, cdf0 = pair.beta1, pair.beta0
-        meta = {"gamma": model.gamma, "logit_iterations": model.iterations}
-
-        def refit(idx: np.ndarray) -> tuple[StepCdf, StepCdf]:
-            # weights on the subset rows come from the full-sample
-            # propensity fit: the nuisance converges at the root-n rate,
-            # so re-estimating it per draw would only add noise that the
-            # rate correction then misattributes to the tail statistic
-            sub = data.subset(idx)
-            sub_pair = kappa_cdf(sub, model, p_trim=settings.trim, flipped=flipped)
-            return sub_pair.beta1, sub_pair.beta0
-
-        rate = RateSpec("iv")
-    elif data.design == "rdd":
-        cdf1, cdf0, meta = _rdd_cdfs(data, settings, flipped)
-        h = meta["bandwidth"]
+        meta = {"bandwidth": h, "first_stage_jump": pair.denom1}
         fit1 = _rdd_arm_tail(cdf1, arm_threshold(data, 1, h, settings.ymin_level), settings)
         fit0 = _rdd_arm_tail(cdf0, arm_threshold(data, 0, h, settings.ymin_level), settings)
-
-        def refit(idx: np.ndarray) -> tuple[StepCdf, StepCdf]:
-            sub = data.subset(idx)
-            c1, c0, _ = _rdd_cdfs(sub, settings, flipped)
-            return c1, c0
-
-        rate = RateSpec("rdd")
-    elif data.design == "direct":
-        cdf1, cdf0, meta = _direct_cdfs(data, flipped)
-
-        def refit(idx: np.ndarray) -> tuple[StepCdf, StepCdf]:
-            sub = data.subset(idx)
-            c1, c0, _ = _direct_cdfs(sub, flipped)
-            return c1, c0
-
-        rate = RateSpec("direct")
     else:
-        raise ValueError(f"unknown design {data.design!r}")
-
-    if data.design != "rdd":
+        meta = {}
+        if data.design == "iv":
+            logit = fit_logit(data.x, data.z)
+            meta = {"gamma": logit.gamma, "logit_iterations": logit.iterations}
+        cdf1, cdf0 = _frozen_cdfs(data, settings, logit)
         fit1 = fit_tail(tail_view(cdf1), level=settings.ymin_level, omega=settings.omega)
         fit0 = fit_tail(tail_view(cdf0), level=settings.ymin_level, omega=settings.omega)
-    meta = dict(meta, design=data.design, tail_side=tail_side)
     return FittedPipeline(
         data=data,
         settings=settings,
+        tail_side=tail_side,
         cdf1=cdf1,
         cdf0=cdf0,
         fit1=fit1,
         fit0=fit0,
-        rate=rate,
-        refit_cdfs=refit,
+        logit=logit,
         meta=meta,
     )

@@ -22,7 +22,6 @@ from scipy.special import expit
 from .core import EstimationError, ObservationSet, flip_outcomes, substream
 from .inference import SubsampleConfig, estimate_qte_batch
 from .pipeline import EstimatorSettings, fit_pipeline
-from .tail import qte_point
 
 IV_GAMMA = np.full(10, 0.1)
 
@@ -192,26 +191,21 @@ def run_mc(config: McConfig) -> McReport:
                 pipe = fit_pipeline(
                     flip_outcomes(draw.data), config.settings, tail_side="upper"
                 )
-                if config.subsample is None:
-                    for q, lv in zip(config.q_list, upper_levels):
-                        ests[q].append(qte_point(pipe.fit1, pipe.fit0, lv))
-                else:
-                    results = estimate_qte_batch(
-                        pipe,
-                        upper_levels,
-                        config.subsample,
-                        lambda t, n_idx=n_idx, rep=rep: substream(
-                            config.seed, n_idx, rep, 1, t
-                        ),
-                    )
-                    for q, res in zip(config.q_list, results):
-                        ests[q].append(res.estimate)
-                        cover[q].append(res.ci.lo <= truth <= res.ci.hi)
-                        if truth_alt is not None:
-                            cover_alt[q].append(res.ci.lo <= truth_alt <= res.ci.hi)
+                results = estimate_qte_batch(
+                    pipe,
+                    upper_levels,
+                    config.subsample,
+                    lambda t, n_idx=n_idx, rep=rep: substream(config.seed, n_idx, rep, 1, t),
+                )
             except EstimationError:
                 failed += 1
                 continue
+            for q, res in zip(config.q_list, results):
+                ests[q].append(res.estimate)
+                if res.ci is not None:
+                    cover[q].append(res.ci.lo <= truth <= res.ci.hi)
+                    if truth_alt is not None:
+                        cover_alt[q].append(res.ci.lo <= truth_alt <= res.ci.hi)
         for q in config.q_list:
             est = np.asarray(ests[q], dtype=float)
             bias, sd, rmse = summarize_cell(est, truth)

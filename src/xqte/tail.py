@@ -9,9 +9,8 @@ The tail index alpha is estimated from the weighted log survival ratio
 with s = 1 - beta_hat, weight w(y) = y^(-omega-1) / y_min^(-omega), and
 T the upper end of the positive-survival region. Over the full ray
 [y_min, inf) the denominator integrates to exactly 1/omega^2. For step
-CDFs both integrals have closed forms segment by segment; an analytic
-mode integrates a supplied survival function to infinity by quadrature
-and serves as the independent oracle path.
+CDFs both integrals have closed forms segment by segment, so the fit
+needs no numerical integration.
 
 Quantiles at level close to 1 extrapolate along the fitted tail:
 y_min * (s(y_min) / (1 - level))^(1 / alpha_hat).
@@ -20,14 +19,11 @@ y_min * (s(y_min) / (1 - level))^(1 / alpha_hat).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import (
     EstimationError,
-    MonotoneCdf,
     StepCdf,
     evaluate,
     left_inverse,
@@ -59,8 +55,7 @@ class TailFit:
     truncation point of the fit (inf when survival never hits zero).
 
     shift records the constant added to the outcome scale before fitting
-    (positivity protocol); quantiles subtract it again. flipped records
-    that the fit lives on the negated-outcome scale.
+    (positivity protocol); quantiles subtract it again.
     """
 
     y_min: float
@@ -69,12 +64,7 @@ class TailFit:
     c_hat: float
     s_min: float
     t_max: float
-    flipped: bool = False
     shift: float = 0.0
-
-    @property
-    def alpha_ok(self) -> bool:
-        return self.alpha_hat > 0.0
 
 
 def select_ymin(cdf: StepCdf, level: float = 0.975) -> float:
@@ -113,34 +103,20 @@ def _tail_segments(cdf: StepCdf, y_min: float):
     return lefts, rights, 1.0 - seg_values
 
 
-def pareto_index(
-    cdf: StepCdf,
-    y_min: float,
-    omega: float = 1.0,
-    baseline_survival: float | None = None,
-) -> TailFit:
+def pareto_index(cdf: StepCdf, y_min: float, omega: float = 1.0) -> TailFit:
     """Closed-form tail-index fit on a step CDF above a positive threshold.
 
     Integration runs from y_min to T, the end of the last segment with
     positive survival. Interior segments where the raw estimate already
     puts survival at or below zero carry no usable log ratio and are
     excluded from both integrals. A non-positive alpha_hat is returned
-    rather than raised; it is flagged via alpha_ok and rejected at
-    quantile time.
-
-    baseline_survival replaces the log-ratio denominator 1 - cdf(y_min).
-    Subsampling uses this to keep the threshold survival at its
-    full-sample value while the tail shape comes from the subsample;
-    re-reading the noisy subsample CDF at the threshold would make the
-    baseline nonpositive in a large share of draws.
+    rather than raised; quantile extrapolation rejects it.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     if y_min <= 0.0:
         raise ValueError("threshold must be positive; shift outcomes first")
-    s_min = (
-        1.0 - evaluate(cdf, y_min) if baseline_survival is None else baseline_survival
-    )
+    s_min = 1.0 - evaluate(cdf, y_min)
     if s_min <= 0.0:
         raise NonPositiveSurvival(
             f"survival at threshold {y_min:g} is {s_min:.3e}"
@@ -168,7 +144,6 @@ def pareto_index(
         c_hat=_scale_from(s_min, y_min, alpha),
         s_min=float(s_min),
         t_max=t_max,
-        flipped=cdf.flipped,
     )
 
 
@@ -242,45 +217,6 @@ def _scale_from(s_min: float, y_min: float, alpha: float) -> float:
         return float(s_min * np.float64(y_min) ** np.float64(alpha))
 
 
-def pareto_index_analytic(
-    survival: Callable[[float], float],
-    y_min: float,
-    omega: float = 1.0,
-    flipped: bool = False,
-) -> TailFit:
-    """Tail-index functional of an exact survival function, by quadrature.
-
-    Substituting v = (y / y_min)^(-omega) flattens the weight, so both
-    integrals run over (0, 1] with only a log endpoint singularity. The
-    fit integrates to infinity; truncation never binds for a survival
-    function that stays positive.
-    """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    if y_min <= 0.0:
-        raise ValueError("threshold must be positive")
-    s_min = float(survival(y_min))
-    if s_min <= 0.0:
-        raise NonPositiveSurvival(f"survival at threshold {y_min:g} is {s_min:.3e}")
-
-    def integrand(v: float) -> float:
-        y = y_min * v ** (-1.0 / omega)
-        return np.log(survival(y) / s_min)
-
-    num = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=300)[0] / omega
-    den = quad(lambda v: -np.log(v), 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=300)[0] / omega**2
-    alpha = -num / den
-    return TailFit(
-        y_min=float(y_min),
-        omega=float(omega),
-        alpha_hat=alpha,
-        c_hat=_scale_from(s_min, y_min, alpha),
-        s_min=s_min,
-        t_max=np.inf,
-        flipped=flipped,
-    )
-
-
 def fit_tail(cdf: StepCdf, level: float = 0.975, omega: float = 1.0) -> TailFit:
     """Select the threshold at the given CDF level and fit the tail.
 
@@ -298,18 +234,6 @@ def fit_tail(cdf: StepCdf, level: float = 0.975, omega: float = 1.0) -> TailFit:
     return pareto_index(cdf, y_min, omega)
 
 
-def extreme_quantile(fit: TailFit, level: float) -> float:
-    """Tail-extrapolated quantile at the given level, on the analysis scale.
-
-    If fit.flipped the caller is responsible for mapping back (negate,
-    and reflect the level q -> 1 - q); qte_point does this for QTEs.
-    """
-    if fit.alpha_hat <= 0.0:
-        raise InvalidAlpha(f"alpha_hat = {fit.alpha_hat:.4g}")
-    out = extrapolated_quantiles(fit, level, np.array([fit.alpha_hat]))
-    return float(out[0])
-
-
 def extrapolated_quantiles(
     fit: TailFit,
     level: float,
@@ -317,12 +241,13 @@ def extrapolated_quantiles(
     survivals: np.ndarray | None = None,
     thresholds: np.ndarray | None = None,
 ) -> np.ndarray:
-    """extreme_quantile evaluated for a batch of alternative index values.
+    """Tail-extrapolated quantiles at the given level, one per index value
+    in alphas, on the scale the fit was estimated on.
 
-    Same formula as extreme_quantile with alpha_hat replaced elementwise;
-    used by subsampling where the index varies across draws. When
-    survivals is given it replaces the threshold survival elementwise as
-    well, so each draw re-estimates both the tail slope and the mass
+    The fit's own quantile takes alphas = [fit.alpha_hat]; subsampling
+    passes one index per draw. A nonpositive index raises InvalidAlpha.
+    When survivals is given it replaces the threshold survival
+    elementwise, so each draw re-estimates both the tail slope and the mass
     beyond the threshold; a draw whose survival falls below the target
     probability then lands below the threshold, which is what makes the
     batch dispersion honest when the target sits near the threshold.
@@ -350,7 +275,7 @@ def extrapolated_quantiles(
         )
     alphas = np.asarray(alphas, dtype=float)
     if np.any(alphas <= 0.0):
-        raise InvalidAlpha("batch contains nonpositive index values")
+        raise InvalidAlpha("nonpositive tail index cannot be inverted into a quantile")
     if survivals is None:
         ratio = fit.s_min / p
     else:
@@ -365,43 +290,11 @@ def extrapolated_quantiles(
         return base * ratio ** (1.0 / alphas) - fit.shift
 
 
-def qte_point(fit1: TailFit, fit0: TailFit, q: float) -> float:
-    """Quantile treatment effect at level q from two fitted arms.
+def qte_point(fit1: TailFit, fit0: TailFit, level: float) -> float:
+    """Upper-tail quantile treatment effect at the given level from two
+    fitted arms: treated minus control extrapolated quantile.
 
-    For flipped fits q is reflected to 1 - q on the analysis scale and
-    the sign of the difference is mapped back to the original scale.
+    Lower-tail targets are mapped onto this in estimate_qte_batch.
     """
-    if fit1.flipped != fit0.flipped:
-        raise ValueError("arms disagree about outcome flipping")
-    if fit1.flipped:
-        level = 1.0 - q
-        return extreme_quantile(fit0, level) - extreme_quantile(fit1, level)
-    return extreme_quantile(fit1, q) - extreme_quantile(fit0, q)
-
-
-@dataclass(frozen=True)
-class SecondOrderSpec:
-    """Two-term Pareto tail 1 - F(y) = c y^(-alpha) (1 + d y^(-rho)).
-
-    Test oracle for the deterministic part of the index bias: fitting at
-    threshold y_min shifts the population index by -index_bias(), up to
-    terms vanishing faster than y_min^(-rho).
-    """
-
-    alpha: float
-    c: float = 1.0
-    d: float = 0.0
-    rho: float = 1.0
-
-    def survival(self, y):
-        y = np.asarray(y, dtype=float)
-        out = self.c * y**-self.alpha * (1.0 + self.d * y**-self.rho)
-        return float(out) if out.ndim == 0 else out
-
-    def index_bias(self, y_min: float, omega: float) -> float:
-        return (
-            self.d
-            * omega**2
-            * y_min**-self.rho
-            * (1.0 / (self.rho + omega) - 1.0 / omega)
-        )
+    q1, q0 = (extrapolated_quantiles(fit, level, [fit.alpha_hat])[0] for fit in (fit1, fit0))
+    return float(q1 - q0)

@@ -19,7 +19,8 @@ from xqte.core import ObservationSet, substream
 from xqte.inference import SubsampleConfig, estimate_qte_batch
 from xqte.pipeline import fit_pipeline
 from xqte.simulate import McConfig, run_mc
-from xqte.tail import SecondOrderSpec, pareto_index_analytic
+
+from oracles import SecondOrderSpec, pareto_index_analytic
 
 
 def report(capsys, label: str, ok: bool, detail: str) -> None:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,11 +79,21 @@ class TestEstimateRdd:
         assert run_estimate_rdd(tmp_path) == 0
         data = read_estimation_csv(str(tmp_path / "toy.csv"), "rdd")
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.8), tail_side="lower")
-        c1, c0 = read_cdf_csv(tmp_path / "out" / "cdf.csv", flipped=True)
+        c1, c0 = read_cdf_csv(tmp_path / "out" / "cdf.csv")
         np.testing.assert_array_equal(c1.knots, pipe.cdf1.knots)
         np.testing.assert_array_equal(c1.values, pipe.cdf1.values)
         np.testing.assert_array_equal(c0.values, pipe.cdf0.values)
-        assert c1.flipped == pipe.cdf1.flipped
+
+    def test_upper_tail_run_is_not_flipped(self, tmp_path):
+        assert run_estimate_rdd(tmp_path, **{"--tail-side": "upper", "--q": "0.9"}) == 0
+        outdir = tmp_path / "out"
+        (line,) = (outdir / "qte.csv").read_text().splitlines()[1:]
+        q, est, lo, hi = map(float, line.split(","))
+        assert q == 0.9
+        assert est == pytest.approx(2.0)
+        run = json.loads((outdir / "run.json").read_text())
+        assert run["tail_side"] == "upper"
+        assert run["_meta"]["flipped"] is False
 
     def test_paretofit_anchored_at_threshold(self, tmp_path):
         assert run_estimate_rdd(tmp_path) == 0
@@ -139,6 +153,16 @@ class TestEstimateIv:
         assert lo <= est <= hi
         run = json.loads((out / "run.json").read_text())
         assert "gamma" in run["_meta"]["design_meta"]
+
+
+def test_cli_import_leaves_out_numerical_integration():
+    # quadrature serves only the test oracles; starting a command must not
+    # pay for importing it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, xqte.cli; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestExitCodes:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from xqte.core import ObservationSet, StepCdf, substream
+from xqte.core import ObservationSet, StepCdf, flip_outcomes, substream
 from xqte.inference import (
-    RateSpec,
+    RATE_EXPONENT,
     SubsampleConfig,
     TailDraws,
     UnstableSubsampling,
@@ -16,7 +16,8 @@ from xqte.inference import (
     subsampling_ci,
 )
 from xqte.pipeline import EstimatorSettings, fit_pipeline
-from xqte.tail import TailFit, extreme_quantile
+from xqte.simulate import gen_iv, gen_rdd
+from xqte.tail import TailFit, extrapolated_quantiles, qte_point
 
 
 def direct_set(y0, y1):
@@ -36,24 +37,25 @@ def draw_stream(*prefix):
     return lambda t: substream(47, *prefix, t)
 
 
+def rate_ratio(design, b, n):
+    draws = np.array([0.0, 1.0])
+    return subsampling_ci(draws, 0.5, SubsampleConfig(b=b), design, n).rate_ratio
+
+
 class TestRateSpec:
+    """The design -> rate exponent lookup behind subsampling_ci."""
+
     def test_worked_values(self):
-        assert RateSpec("iv").ratio(1000, 10000) == pytest.approx(
-            0.31622776601683794, rel=1e-13
-        )
-        assert RateSpec("rdd").ratio(1000, 10000) == pytest.approx(
-            0.3981071705534972, rel=1e-13
-        )
-        assert RateSpec("direct").ratio(1000, 10000) == RateSpec("iv").ratio(1000, 10000)
+        assert rate_ratio("iv", 1000, 10000) == pytest.approx(0.31622776601683794, rel=1e-13)
+        assert rate_ratio("rdd", 1000, 10000) == pytest.approx(0.3981071705534972, rel=1e-13)
+        assert rate_ratio("direct", 1000, 10000) == rate_ratio("iv", 1000, 10000)
 
     def test_exponents(self):
-        assert RateSpec("iv").exponent == 0.5
-        assert RateSpec("direct").exponent == 0.5
-        assert RateSpec("rdd").exponent == 0.4
+        assert RATE_EXPONENT == {"iv": 0.5, "rdd": 0.4, "direct": 0.5}
 
     def test_rejects_unknown_design(self):
-        with pytest.raises(ValueError):
-            RateSpec("matching")
+        with pytest.raises(KeyError):
+            rate_ratio("matching", 1000, 10000)
 
 
 class TestSubsampleConfig:
@@ -89,7 +91,7 @@ class TestSubsamplingCi:
         # giving [2 - 0.625, 2 + 0.125].
         draws = np.array([1.0, 2.0, 3.0, 4.0])
         cfg = SubsampleConfig(b=25, ci_level=0.5)
-        ci = subsampling_ci(draws, 2.0, cfg, RateSpec("iv"), n=100)
+        ci = subsampling_ci(draws, 2.0, cfg, "iv", n=100)
         assert ci.rate_ratio == pytest.approx(0.5, rel=1e-15)
         assert ci.lo == pytest.approx(1.375, rel=1e-12)
         assert ci.hi == pytest.approx(2.125, rel=1e-12)
@@ -101,13 +103,13 @@ class TestSubsamplingCi:
         cis = {}
         for level in (0.90, 0.95, 0.99):
             cfg = SubsampleConfig(b=200, ci_level=level)
-            cis[level] = subsampling_ci(draws, 3.1, cfg, RateSpec("iv"), n=1000)
+            cis[level] = subsampling_ci(draws, 3.1, cfg, "iv", n=1000)
         assert cis[0.99].lo <= cis[0.95].lo <= cis[0.90].lo
         assert cis[0.90].hi <= cis[0.95].hi <= cis[0.99].hi
 
     def test_constant_draws_collapse_to_point(self):
         draws = np.full(200, 7.25)
-        ci = subsampling_ci(draws, 7.25, SubsampleConfig(b=50), RateSpec("rdd"), n=500)
+        ci = subsampling_ci(draws, 7.25, SubsampleConfig(b=50), "rdd", n=500)
         assert ci.lo == 7.25 == ci.hi
 
 
@@ -127,9 +129,9 @@ class TestFullSampleDegenerate:
         assert np.all(tails.survivals[:, 1] == pipe.fit0.s_min)
         q = 0.95
         draws = qte_draws_from_tails(pipe.fit1, pipe.fit0, tails, q)
-        point = extreme_quantile(pipe.fit1, q) - extreme_quantile(pipe.fit0, q)
+        point = qte_point(pipe.fit1, pipe.fit0, q)
         assert np.all(draws == point)
-        ci = subsampling_ci(draws, point, cfg, pipe.rate, data.n)
+        ci = subsampling_ci(draws, point, cfg, pipe.data.design, data.n)
         assert ci.lo == point == ci.hi
 
 
@@ -171,7 +173,7 @@ class TestSharedDrawsAcrossLevels:
         for r in res:
             draws = qte_draws_from_tails(pipe.fit1, pipe.fit0, tails, r.q)
             ci = subsampling_ci(
-                draws, r.estimate, cfg, pipe.rate, data.n, tails.failed
+                draws, r.estimate, cfg, pipe.data.design, data.n, tails.failed
             )
             assert r.ci == ci
 
@@ -185,12 +187,59 @@ class TestSharedDrawsAcrossLevels:
         draws = qte_draws_from_tails(pipe.fit1, pipe.fit0, tails, 0.95)
         assert res.ci.n_failed == tails.failed
         assert res.ci.n_draws == draws.size == 100 - tails.failed
-        assert res.ci == subsampling_ci(draws, res.estimate, cfg, pipe.rate, data.n, tails.failed)
+        assert res.ci == subsampling_ci(
+            draws, res.estimate, cfg, pipe.data.design, data.n, tails.failed
+        )
 
 
 def heavy_lower_tail_arm(key, n):
     p = (1.0 - substream(47, key).random(n)) ** (-1.0 / 1.5)
     return 100.0 - np.ceil(10.0 * p)
+
+
+class TestSingleFlipPoint:
+    """A lower-tail pipeline is the upper-tail pipeline fitted on negated
+    outcomes; only estimate_qte_batch maps its results back, by
+    reflecting each level and negating the point and every draw."""
+
+    @pytest.mark.parametrize("gen,n", [(gen_iv, 2000), (gen_rdd, 3000)], ids=["iv", "rdd"])
+    def test_lower_tail_is_the_negated_upper_tail(self, gen, n):
+        data = gen(substream(47, 40), n).data
+        cfg = SubsampleConfig(draws=100)
+        q_list = [0.02, 0.025]
+        lower = fit_pipeline(data, tail_side="lower")
+        upper = fit_pipeline(flip_outcomes(data), tail_side="upper")
+        assert (lower.fit1, lower.fit0) == (upper.fit1, upper.fit0)
+        results = estimate_qte_batch(lower, q_list, cfg, draw_stream(41))
+        upper_results = estimate_qte_batch(upper, [1.0 - q for q in q_list], cfg, draw_stream(41))
+        tails = subsample_tail_pairs(lower, cfg, draw_stream(41))
+        upper_tails = subsample_tail_pairs(upper, cfg, draw_stream(41))
+        for q, res, ref in zip(q_list, results, upper_results):
+            level = 1.0 - q
+            assert res.q == q
+            assert res.estimate == -ref.estimate
+            draws = qte_draws_from_tails(lower.fit1, lower.fit0, tails, level)
+            upper_draws = qte_draws_from_tails(upper.fit1, upper.fit0, upper_tails, level)
+            assert np.array_equal(draws, upper_draws)
+            # on the original scale the effect is control minus treated
+            # on the negated one, point and draws alike
+            arm_quantiles = [
+                extrapolated_quantiles(
+                    fit, level, tails.alphas[:, col], tails.survivals[:, col],
+                    tails.thresholds[:, col],
+                )
+                for col, fit in enumerate((lower.fit1, lower.fit0))
+            ]
+            lower_draws = arm_quantiles[1] - arm_quantiles[0]
+            assert np.array_equal(lower_draws, -upper_draws)
+            point = (
+                extrapolated_quantiles(lower.fit0, level, [lower.fit0.alpha_hat])[0]
+                - extrapolated_quantiles(lower.fit1, level, [lower.fit1.alpha_hat])[0]
+            )
+            assert res.estimate == point
+            assert res.ci == subsampling_ci(
+                lower_draws, point, cfg, data.design, data.n, tails.failed
+            )
 
 
 class TestShiftEquivariance:
@@ -220,8 +269,8 @@ class TestShiftEquivariance:
         # flipped outcomes move by +7, so the recorded shifts move by -7
         assert pipe_b.fit1.shift == pipe_a.fit1.shift - 7.0
         # per-arm original-scale quantiles move by the offset
-        qa = -extreme_quantile(pipe_a.fit1, 0.95)
-        qb = -extreme_quantile(pipe_b.fit1, 0.95)
+        qa = -extrapolated_quantiles(pipe_a.fit1, 0.95, [pipe_a.fit1.alpha_hat])[0]
+        qb = -extrapolated_quantiles(pipe_b.fit1, 0.95, [pipe_b.fit1.alpha_hat])[0]
         assert qb == pytest.approx(qa - 7.0, rel=1e-12)
         # the QTE and its interval do not move
         assert res_b.estimate == pytest.approx(res_a.estimate, rel=1e-12)

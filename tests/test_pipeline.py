@@ -3,8 +3,9 @@ import pytest
 
 from xqte.cdf_rdd import rdd_cdf, rot_bandwidth
 from xqte.core import DegenerateDenominator, ObservationSet, evaluate, substream
-from xqte.pipeline import EstimatorSettings, ecdf, fit_pipeline
-from xqte.tail import extreme_quantile, qte_point
+from xqte.inference import estimate_qte_batch
+from xqte.pipeline import EstimatorSettings, ecdf, fit_pipeline, subset_cdfs
+from xqte.tail import extrapolated_quantiles
 
 
 def direct_set(y0, y1):
@@ -58,9 +59,6 @@ class TestEcdf:
         with pytest.raises(DegenerateDenominator):
             ecdf(np.array([]))
 
-    def test_flip_flag_passes_through(self):
-        assert ecdf(np.array([1.0, 2.0]), flipped=True).flipped is True
-
 
 class TestDirectPipeline:
     def test_arm_cdfs_are_arm_ecdfs(self):
@@ -72,14 +70,13 @@ class TestDirectPipeline:
         assert np.array_equal(pipe.cdf1.values, ref1.values)
         assert np.array_equal(pipe.cdf0.knots, ref0.knots)
         assert np.array_equal(pipe.cdf0.values, ref0.values)
-        assert pipe.rate.design == "direct"
-        assert pipe.rate.exponent == 0.5
-        assert not pipe.flipped
+        assert pipe.tail_side == "upper"
+        assert pipe.logit is None
 
     def test_refit_on_full_index_reproduces_cdfs(self):
         data = direct_set(pareto(2, 250, 2.0), pareto(3, 250, 2.0, scale=2.0))
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
-        c1, c0 = pipe.refit_cdfs(np.arange(data.n))
+        c1, c0 = subset_cdfs(pipe, np.arange(data.n))
         assert np.array_equal(c1.knots, pipe.cdf1.knots)
         assert np.array_equal(c1.values, pipe.cdf1.values)
         assert np.array_equal(c0.knots, pipe.cdf0.knots)
@@ -90,7 +87,7 @@ class TestDirectPipeline:
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
         idx = substream(31, 6).choice(data.n, size=180, replace=False)
         sub = data.subset(idx)
-        c1, c0 = pipe.refit_cdfs(idx)
+        c1, c0 = subset_cdfs(pipe, idx)
         ref1 = ecdf(sub.y[sub.d == 1])
         ref0 = ecdf(sub.y[sub.d == 0])
         assert np.array_equal(c1.knots, ref1.knots)
@@ -111,8 +108,7 @@ class TestLowerTail:
         y1 = heavy_lower_tail_arm(8, 400)
         data = direct_set(y0, y1)
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9), tail_side="lower")
-        assert pipe.flipped
-        assert pipe.fit1.flipped and pipe.fit0.flipped
+        assert pipe.tail_side == "lower"
         assert np.array_equal(pipe.data.y, -data.y)
 
     def test_constant_arm_gap_recovered_exactly(self):
@@ -125,8 +121,8 @@ class TestLowerTail:
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9), tail_side="lower")
         assert pipe.fit1.shift > 0 and pipe.fit0.shift > 0
         assert pipe.fit1.alpha_hat == pipe.fit0.alpha_hat
-        for q in [0.02, 0.05, 0.08]:
-            assert qte_point(pipe.fit1, pipe.fit0, q) == pytest.approx(5.0, rel=1e-12)
+        for res in estimate_qte_batch(pipe, [0.02, 0.05, 0.08]):
+            assert res.estimate == pytest.approx(5.0, rel=1e-12)
 
     def test_lower_tail_quantile_maps_back(self):
         # original-scale lower-tail quantile = -(flipped upper quantile)
@@ -134,7 +130,7 @@ class TestLowerTail:
         data = direct_set(base, base)
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9), tail_side="lower")
         q = 0.05
-        flipped_q = extreme_quantile(pipe.fit1, 1.0 - q)
+        flipped_q = extrapolated_quantiles(pipe.fit1, 1.0 - q, [pipe.fit1.alpha_hat])[0]
         original_q = -flipped_q
         # must sit at or below every knot mass point above the 10% line
         assert original_q <= np.quantile(base, 0.10)
@@ -160,16 +156,15 @@ class TestIvPipeline:
     def test_structure_and_meta(self):
         data = self.make_data()
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
-        assert pipe.rate.design == "iv"
-        assert pipe.rate.exponent == 0.5
-        assert pipe.meta["design"] == "iv"
+        assert pipe.data.design == "iv"
         assert pipe.meta["gamma"].shape == (2,)
+        assert np.array_equal(pipe.logit.gamma, pipe.meta["gamma"])
         assert pipe.fit1.alpha_hat > 0 and pipe.fit0.alpha_hat > 0
 
     def test_refit_full_index_reproduces(self):
         data = self.make_data(n=1500, key=14)
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
-        c1, c0 = pipe.refit_cdfs(np.arange(data.n))
+        c1, c0 = subset_cdfs(pipe, np.arange(data.n))
         assert np.array_equal(c1.knots, pipe.cdf1.knots)
         assert np.array_equal(c1.values, pipe.cdf1.values)
         assert np.array_equal(c0.values, pipe.cdf0.values)
@@ -191,16 +186,7 @@ class TestRddPipeline:
         ref = rdd_cdf(data, h=h)
         assert np.array_equal(pipe.cdf1.knots, ref.beta1.knots)
         assert np.array_equal(pipe.cdf1.values, ref.beta1.values)
-        assert pipe.rate.design == "rdd"
-        assert pipe.rate.exponent == pytest.approx(0.4)
-
-    def test_refit_rederives_bandwidth_from_subset(self):
-        data = self.make_data(n=2000, key=16)
-        pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
-        idx = np.sort(substream(31, 17).choice(data.n, size=900, replace=False))
-        sub = data.subset(idx)
-        ref = rdd_cdf(sub, h=rot_bandwidth(sub.r))
-        c1, c0 = pipe.refit_cdfs(idx)
-        assert np.array_equal(c1.knots, ref.beta1.knots)
-        assert np.array_equal(c1.values, ref.beta1.values)
-        assert np.array_equal(c0.values, ref.beta0.values)
+        assert pipe.meta["first_stage_jump"] == ref.denom1
+        # discontinuity draws are refitted in inference, not here
+        with pytest.raises(ValueError):
+            subset_cdfs(pipe, np.arange(data.n))

@@ -154,6 +154,14 @@ class TestRunMc:
         assert cell.n_used == 0
         assert cell.n_failed == 2
 
+    def test_failed_replication_leaves_every_cell(self):
+        # the interior level fails each replication, so the deep level
+        # must not keep that replication's estimate either
+        cfg = McConfig(design="iv", n_list=(2000,), q_list=(0.025, 0.3),
+                       reps=2, seed=7, subsample=None)
+        cells = run_mc(cfg).cells
+        assert [(c.n_used, c.n_failed) for c in cells] == [(0, 2), (0, 2)]
+
     def test_deterministic_and_isolated_substreams(self):
         cfg = McConfig(design="iv", n_list=(600,), q_list=(0.025,),
                        reps=2, seed=8, subsample=None)

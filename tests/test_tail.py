@@ -10,15 +10,15 @@ from xqte.tail import (
     InvalidAlpha,
     NonPositiveSurvival,
     NotBeyondThreshold,
-    SecondOrderSpec,
     TailFit,
-    extreme_quantile,
+    extrapolated_quantiles,
     fit_tail,
     pareto_index,
-    pareto_index_analytic,
     qte_point,
     select_ymin,
 )
+
+from oracles import SecondOrderSpec, pareto_index_analytic
 
 
 def quad_index_oracle(cdf, y_min, omega):
@@ -90,7 +90,7 @@ def test_pareto_index_worked_step_example():
     assert fit.alpha_hat == pytest.approx(0.8591, abs=2e-4)
     assert fit.s_min == 1.0
     assert fit.t_max == 4.0
-    assert fit.alpha_ok
+    assert fit.alpha_hat > 0
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -158,9 +158,11 @@ def test_pareto_index_negative_alpha_flagged_not_raised():
     cdf = StepCdf(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.3, 1.0]))
     fit = pareto_index(cdf, y_min=2.0, omega=1.0)
     assert fit.alpha_hat < 0
-    assert not fit.alpha_ok
+    # the nonpositive index is rejected when a quantile is asked of it
     with pytest.raises(InvalidAlpha):
-        extreme_quantile(fit, 0.9999)
+        qte_point(fit, fit, 0.9999)
+    with pytest.raises(InvalidAlpha):
+        extrapolated_quantiles(fit, 0.9999, [fit.alpha_hat])
 
 
 # ------------------------------------------------------- analytic index
@@ -204,7 +206,7 @@ def test_analytic_second_order_worked_example():
 
 # --------------------------------------------------------------- quantile
 
-def _fit(y_min, alpha, s_min, flipped=False, shift=0.0, omega=1.0):
+def _fit(y_min, alpha, s_min, shift=0.0, omega=1.0):
     return TailFit(
         y_min=y_min,
         omega=omega,
@@ -212,33 +214,37 @@ def _fit(y_min, alpha, s_min, flipped=False, shift=0.0, omega=1.0):
         c_hat=s_min * y_min**alpha,
         s_min=s_min,
         t_max=np.inf,
-        flipped=flipped,
         shift=shift,
     )
 
 
+def quantile(fit, level):
+    """The fit's own extrapolated quantile at the given level."""
+    return float(extrapolated_quantiles(fit, level, [fit.alpha_hat])[0])
+
+
 def test_extreme_quantile_worked_values():
     fit = _fit(y_min=5.0, alpha=2.0, s_min=0.1)
-    assert extreme_quantile(fit, 0.99) == pytest.approx(5.0 * np.sqrt(10.0))
+    assert quantile(fit, 0.99) == pytest.approx(5.0 * np.sqrt(10.0))
     # just beyond the threshold the quantile sits at y_min
     eps_level = 1.0 - fit.s_min * 0.999
-    assert extreme_quantile(fit, eps_level) == pytest.approx(5.0, rel=1e-3)
+    assert quantile(fit, eps_level) == pytest.approx(5.0, rel=1e-3)
 
 
 def test_extreme_quantile_exact_pareto_end_to_end():
     # alpha 2 tail, threshold at the 0.975 level, target level 0.999
     y_min = 0.025**-0.5
     fit = pareto_index_analytic(lambda y: y**-2.0, y_min=y_min, omega=1.0)
-    got = extreme_quantile(fit, 0.999)
+    got = quantile(fit, 0.999)
     assert got == pytest.approx(np.sqrt(1000.0), abs=1e-9)
 
 
 def test_extreme_quantile_errors():
     fit = _fit(y_min=5.0, alpha=2.0, s_min=0.02)
     with pytest.raises(NotBeyondThreshold):
-        extreme_quantile(fit, 0.96)  # p = 0.04, twice the threshold survival
+        quantile(fit, 0.96)  # p = 0.04, twice the threshold survival
     with pytest.raises(ValueError):
-        extreme_quantile(fit, 1.0)
+        quantile(fit, 1.0)
 
 
 def test_extreme_quantile_allows_slightly_interior_targets():
@@ -247,7 +253,7 @@ def test_extreme_quantile_allows_slightly_interior_targets():
     # probability; such queries interpolate just below the threshold
     # instead of being refused
     fit = _fit(y_min=5.0, alpha=2.0, s_min=0.02)
-    got = extreme_quantile(fit, 0.975)
+    got = quantile(fit, 0.975)
     assert got == pytest.approx(5.0 * (0.02 / 0.025) ** 0.5, rel=1e-12)
     assert got < fit.y_min
 
@@ -255,8 +261,8 @@ def test_extreme_quantile_allows_slightly_interior_targets():
 def test_extreme_quantile_applies_shift():
     plain = _fit(y_min=4.0, alpha=1.5, s_min=0.05)
     shifted = _fit(y_min=4.0, alpha=1.5, s_min=0.05, shift=9.0)
-    assert extreme_quantile(shifted, 0.999) == pytest.approx(
-        extreme_quantile(plain, 0.999) - 9.0
+    assert quantile(shifted, 0.999) == pytest.approx(
+        quantile(plain, 0.999) - 9.0
     )
 
 
@@ -266,20 +272,10 @@ def test_qte_point_worked_values():
     fit1 = _fit(y_min=2.0, alpha=1.0, s_min=0.1)
     fit0 = _fit(y_min=3.5, alpha=1.0, s_min=0.04)
     level = 0.98  # p = 0.02: arm quantiles 10 and 7
-    assert extreme_quantile(fit1, level) == pytest.approx(10.0)
-    assert extreme_quantile(fit0, level) == pytest.approx(7.0)
+    assert quantile(fit1, level) == pytest.approx(10.0)
+    assert quantile(fit0, level) == pytest.approx(7.0)
     assert qte_point(fit1, fit0, level) == pytest.approx(3.0)
     assert qte_point(fit1, fit1, level) == 0.0
-
-
-def test_qte_point_flipped_maps_back():
-    fit1 = _fit(y_min=2.0, alpha=1.0, s_min=0.1, flipped=True)
-    fit0 = _fit(y_min=3.5, alpha=1.0, s_min=0.04, flipped=True)
-    q = 0.02
-    want = extreme_quantile(fit0, 0.98) - extreme_quantile(fit1, 0.98)
-    assert qte_point(fit1, fit0, q) == pytest.approx(want)
-    with pytest.raises(ValueError):
-        qte_point(fit1, _fit(2.0, 1.0, 0.1), q)
 
 
 # ------------------------------------------------------------ fit_tail
@@ -303,7 +299,7 @@ def test_fit_tail_shift_protocol_on_nonpositive_threshold():
     manual = pareto_index(cdf.shifted(fit.shift), y_min + fit.shift, omega=1.0)
     assert fit.alpha_hat == manual.alpha_hat
     # quantiles come back on the original scale
-    q_orig = extreme_quantile(fit, 0.999)
+    q_orig = quantile(fit, 0.999)
     q_shifted_scale = fit.y_min * (fit.s_min / 0.001) ** (1.0 / fit.alpha_hat)
     assert q_orig == pytest.approx(q_shifted_scale - fit.shift)
 
