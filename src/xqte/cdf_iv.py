@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import DegenerateDenominator, EstimationError, ObservationSet, StepCdf, step_sums
 
@@ -42,6 +41,8 @@ class LogitModel:
     iterations: int
 
     def propensity(self, x: np.ndarray) -> np.ndarray:
+        from scipy.special import expit
+
         return expit(np.asarray(x, dtype=float) @ self.gamma)
 
 
@@ -64,6 +65,9 @@ def fit_logit(
     the index passes the separation bound at every informative row, and
     NoConvergence when max_iter is exhausted.
     """
+    # scipy.special loads in a quarter second; only the logit needs it
+    from scipy.special import expit
+
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if x.ndim != 2 or x.shape[0] != z.shape[0]:

@@ -69,6 +69,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_rows(*columns, lead: str = "") -> str:
+    """One line per row: lead, then the row's values as _fmt writes
+    them, comma-separated."""
+    table = np.column_stack(columns).astype(float)
+    line = lead + ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return line * table.shape[0] % tuple(table.ravel().tolist())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xqte",
@@ -205,13 +213,91 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(str(exc))
 
 
+# bytes a body of plain numbers is made of; any other byte sends the file
+# to the row loop
+_PLAIN_BYTES = b"0123456789+-.eE,\n"
+_SCAN_BLOCK = 1 << 20
+
+
 def read_estimation_csv(path: str, design: str) -> ObservationSet:
     """Parse an input CSV against the design's column schema.
 
     Schema violations name the offending file line (the header is
     line 1). Fields must be plain '.'-decimal numbers; d and z must be
     0 or 1; everything must be finite.
+
+    A body of plain numbers is parsed with array operations; every other
+    file, and every file those checks reject, goes through the row loop,
+    which accepts it or names the offending line. On plain numbers both
+    parse each field with the same C routine, so values are identical.
     """
+    arr = _load_plain(path, design)
+    if arr is None:
+        arr = _read_rows(path, design)
+    try:
+        if design == "iv":
+            return ObservationSet(design="iv", y=arr[:, 0], d=arr[:, 1],
+                                  z=arr[:, 2], x=arr[:, 3:])
+        return ObservationSet(design="rdd", y=arr[:, 0], d=arr[:, 1], r=arr[:, 2])
+    except ValueError as exc:
+        raise DataError(str(exc))
+
+
+def _header_problem(header: list[str], design: str) -> str | None:
+    if design == "iv":
+        k = len(header) - 3
+        expected = ["y", "d", "z"] + [f"x{i}" for i in range(1, k + 1)]
+        if k < 1 or header != expected:
+            return ("instrument input needs header y,d,z,x1,...,xk with k >= 1; "
+                    f"got {','.join(header)}")
+    elif header != ["y", "d", "r"]:
+        return f"discontinuity input needs header y,d,r; got {','.join(header)}"
+    return None
+
+
+def _load_plain(path: str, design: str) -> np.ndarray | None:
+    """The data rows as an (n, k) array when the header is valid and the
+    body holds only digits, signs, points, exponents, commas and
+    newlines, and every row passes the schema; None otherwise."""
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    with fh:
+        first = fh.readline()
+        # without quotes, carriage returns or NULs the csv module splits
+        # the header line at its commas
+        if not first or any(c in first for c in (b'"', b"\r", b"\0")):
+            return None
+        try:
+            header = [h.strip() for h in first.decode("utf-8").removesuffix("\n").split(",")]
+        except UnicodeDecodeError:
+            return None
+        if _header_problem(header, design) is not None:
+            return None
+        has_rows = False
+        while block := fh.read(_SCAN_BLOCK):
+            if block.translate(None, _PLAIN_BYTES):
+                return None
+            has_rows = has_rows or block.count(b"\n") < len(block)
+    if not has_rows:
+        return None
+    try:
+        arr = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2,
+                         dtype=float, encoding="utf-8")
+    except ValueError:
+        return None
+    if arr.shape[1] != len(header) or not np.isfinite(arr).all():
+        return None
+    binary = arr[:, 1:3] if design == "iv" else arr[:, 1:2]
+    if not ((binary == 0.0) | (binary == 1.0)).all():
+        return None
+    return arr
+
+
+def _read_rows(path: str, design: str) -> np.ndarray:
+    """Row-by-row parse of any CSV the csv module reads; raises DataError
+    naming the first offending line."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -222,17 +308,9 @@ def read_estimation_csv(path: str, design: str) -> ObservationSet:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError("input file is empty")
-        if design == "iv":
-            k = len(header) - 3
-            expected = ["y", "d", "z"] + [f"x{i}" for i in range(1, k + 1)]
-            if k < 1 or header != expected:
-                raise DataError(
-                    "instrument input needs header y,d,z,x1,...,xk with k >= 1; "
-                    f"got {','.join(header)}"
-                )
-        else:
-            if header != ["y", "d", "r"]:
-                raise DataError(f"discontinuity input needs header y,d,r; got {','.join(header)}")
+        problem = _header_problem(header, design)
+        if problem is not None:
+            raise DataError(problem)
         ncol = len(header)
         rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
@@ -256,14 +334,7 @@ def read_estimation_csv(path: str, design: str) -> ObservationSet:
             rows.append(vals)
         if not rows:
             raise DataError("input file has a header but no data rows")
-    arr = np.asarray(rows, dtype=float)
-    try:
-        if design == "iv":
-            return ObservationSet(design="iv", y=arr[:, 0], d=arr[:, 1],
-                                  z=arr[:, 2], x=arr[:, 3:])
-        return ObservationSet(design="rdd", y=arr[:, 0], d=arr[:, 1], r=arr[:, 2])
-    except ValueError as exc:
-        raise DataError(str(exc))
+    return np.asarray(rows, dtype=float)
 
 
 def write_cdf_csv(path: Path, pipe: FittedPipeline) -> None:
@@ -276,10 +347,8 @@ def write_cdf_csv(path: Path, pipe: FittedPipeline) -> None:
     if not np.array_equal(c1.knots, c0.knots):
         raise EstimationError("arms returned different knot grids")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["y", "beta0", "beta1"])
-        for y, b0, b1 in zip(c1.knots, c0.values, c1.values):
-            w.writerow([_fmt(y), _fmt(b0), _fmt(b1)])
+        fh.write("y,beta0,beta1\n")
+        fh.write(_fmt_rows(c1.knots, c0.values, c1.values))
 
 
 def read_cdf_csv(path: Path | str) -> tuple[StepCdf, StepCdf]:
@@ -304,8 +373,7 @@ def write_paretofit_csv(path: Path, pipe: FittedPipeline) -> None:
     threshold where the fitted survival equals s_min by construction.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["arm", "y", "survival_emp", "survival_fit"])
+        fh.write("arm,y,survival_emp,survival_fit\n")
         for arm, cdf, fit in ((1, pipe.cdf1, pipe.fit1), (0, pipe.cdf0, pipe.fit0)):
             view = tail_view(cdf)
             if fit.shift != 0.0:
@@ -314,17 +382,14 @@ def write_paretofit_csv(path: Path, pipe: FittedPipeline) -> None:
             emp = 1.0 - np.asarray(evaluate(view, grid), dtype=float)
             with np.errstate(over="ignore"):
                 fitted = fit.s_min * (grid / fit.y_min) ** (-fit.alpha_hat)
-            for y, se, sf in zip(grid, emp, fitted):
-                w.writerow([str(arm), _fmt(y), _fmt(se), _fmt(sf)])
+            fh.write(_fmt_rows(grid, emp, fitted, lead=f"{arm},"))
 
 
 def write_qte_csv(path: Path, results) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["q", "estimate", "ci_lo", "ci_hi"])
-        for res in results:
-            w.writerow([_fmt(res.q), _fmt(res.estimate),
-                        _fmt(res.ci.lo), _fmt(res.ci.hi)])
+        fh.write("q,estimate,ci_lo,ci_hi\n")
+        fh.write(_fmt_rows([r.q for r in results], [r.estimate for r in results],
+                           [r.ci.lo for r in results], [r.ci.hi for r in results]))
 
 
 def write_table_csv(path: Path, report: McReport) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .core import EstimationError, ObservationSet, flip_outcomes, substream
 from .inference import SubsampleConfig, estimate_qte_batch
@@ -61,6 +60,8 @@ def gen_iv(rng: np.random.Generator, n: int) -> SimDraw:
     """Instrumented design: ten standard normal covariates drive a
     logistic instrument, compliers take treatment when the instrument
     fires."""
+    from scipy.special import expit
+
     types = rng.integers(3, size=n)
     x = rng.standard_normal((n, 10))
     pz = expit(x @ IV_GAMMA)

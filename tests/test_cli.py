@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xqte.cli import main, read_cdf_csv, read_estimation_csv
+from xqte.cli import DataError, main, read_cdf_csv, read_estimation_csv
 from xqte.pipeline import EstimatorSettings, fit_pipeline
 
 
@@ -155,14 +155,30 @@ class TestEstimateIv:
         assert "gamma" in run["_meta"]["design_meta"]
 
 
-def test_cli_import_leaves_out_numerical_integration():
-    # quadrature serves only the test oracles; starting a command must not
-    # pay for importing it
+def run_python(code):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, xqte.cli; sys.exit('scipy.integrate' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
+def test_cli_import_leaves_out_numerical_integration():
+    # quadrature serves only the test oracles and special functions only
+    # the instrument logit; starting a command must not pay for importing
+    # either
+    code = ("import sys, xqte.cli; "
+            "sys.exit('scipy.integrate' in sys.modules or 'scipy.special' in sys.modules)")
+    assert run_python(code) == 0
+
+
+def test_discontinuity_estimate_leaves_out_special_functions(tmp_path):
+    src = tmp_path / "toy.csv"
+    write_rdd_toy(src)
+    argv = ["estimate-rdd", "--input", str(src), "--q", "0.1", "--ymin-level", "0.8",
+            "--b", "16", "--B", "120", "--out", str(tmp_path / "out")]
+    code = ("import sys; from xqte.cli import main; "
+            f"sys.exit(main({argv!r}) or 10 * ('scipy.special' in sys.modules))")
+    assert run_python(code) == 0
 
 
 class TestExitCodes:
@@ -226,6 +242,64 @@ class TestExitCodes:
 
     def test_no_command(self):
         assert main([]) == 2
+
+
+class TestReaderInputs:
+    """Messages and accepted values of read_estimation_csv on the inputs
+    that leave the plain-number layout."""
+
+    @pytest.mark.parametrize("design, text, message", [
+        ("iv", b"y,d,z,x1\n1.0,0,0,1.0\n1e999,1,1,2.0\n",
+         "line 3: column y must be finite, got '1e999'"),
+        ("rdd", b"y,d,r\n1.0,0,-0.5\n2.0,1,inf\n",
+         "line 3: column r must be finite, got 'inf'"),
+        ("rdd", b"y,d,r\n1.0,0,nan\n",
+         "line 2: column r must be finite, got 'nan'"),
+        ("rdd", b"y,d,r\n1.0,0,-0.5\n2.0,2,0.5\n",
+         "line 3: column d must be 0 or 1, got '2'"),
+        ("iv", b"y,d,z,x1\n1.0,0,0,1.0\n2.0,1,2,1.0\n",
+         "line 3: column z must be 0 or 1, got '2'"),
+        ("rdd", b"y,d,r\n", "input file has a header but no data rows"),
+        ("rdd", b"y,d,r\n\n\n", "input file has a header but no data rows"),
+        ("rdd", b"", "input file is empty"),
+        ("rdd", b"y,d,r\n" + b"1.0,0,-0.5\n" * 50 + b"2.0,1\n",
+         "line 52: expected 3 fields, found 2"),
+        ("rdd", b"y,d,r\n1.0,0,-0.5\n1.0,0,-0.5,\n",
+         "line 3: expected 3 fields, found 4"),
+        ("rdd", b"y,d,r\n1.0,,-0.5\n", "line 2: column d has non-numeric value ''"),
+        ("rdd", b"y,d,r\n1.0,0,-0.5\n1e,0,0.5\n", "line 3: column y has non-numeric value '1e'"),
+        ("iv", b"y,d,z\n1.0,0,0\n",
+         "instrument input needs header y,d,z,x1,...,xk with k >= 1; got y,d,z"),
+    ])
+    def test_error_message(self, tmp_path, design, text, message):
+        src = tmp_path / "in.csv"
+        src.write_bytes(text)
+        with pytest.raises(DataError) as info:
+            read_estimation_csv(str(src), design)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", [
+        b"y,d,r\n\n1.0,0,-0.5\n\n2.0,1,0.5\n\n",     # blank lines
+        b"y,d,r\r\n1.0,0,-0.5\r\n2.0,1,0.5\r\n",     # CRLF line endings
+        b'y,d,r\n"1.0",0,-0.5\n2.0,"1",0.5\n',       # quoted fields
+        b"y,d,r\n 1.0 ,0, -0.5\n2.0,1,0.5\n",        # fields padded with spaces
+        b" y , d ,r\n1.0,0,-0.5\n2.0,1,0.5",         # padded header, no final newline
+        b"y,d,r\n1_0e-1,0,-0.5\n+2.0,1,.5e0\n",      # underscores, signs, bare fraction
+    ])
+    def test_accepted_layouts(self, tmp_path, text):
+        src = tmp_path / "in.csv"
+        src.write_bytes(text)
+        data = read_estimation_csv(str(src), "rdd")
+        assert data.y.tolist() == [1.0, 2.0]
+        assert data.d.tolist() == [0, 1]
+        assert data.r.tolist() == [-0.5, 0.5]
+
+    def test_non_ascii_digits_accepted(self, tmp_path):
+        # float() reads any Unicode decimal digit
+        src = tmp_path / "in.csv"
+        src.write_text("y,d,r\n١.5,0,-0.5\n", encoding="utf-8")
+        data = read_estimation_csv(str(src), "rdd")
+        assert data.y.tolist() == [1.5]
 
 
 class TestSimulateCommand:
