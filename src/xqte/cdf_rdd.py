@@ -10,11 +10,12 @@ counterfactual CDFs are ratios of side-to-side jumps:
 The two denominators are exact negatives of each other. The default
 bandwidth is the rule of thumb sigma_hat * n^(-1/5).
 
-The row functions (rot_bandwidths, side_masses, jump_ratio_rows,
-arm_threshold_rows) treat each row of a (samples x m) matrix as a
-sample of its own and flag failures per row instead of raising;
-subsampling runs them on whole chunks of draws. rot_bandwidth, rdd_cdf
-and arm_threshold are their one-row case.
+The row functions (rot_bandwidths, kernel_weights, side_masses,
+jump_ratio_rows, arm_threshold_rows) treat each row of a (samples x m)
+matrix as a sample of its own and flag failures per row instead of
+raising; subsampling runs them on whole chunks of draws, with both arms
+in one call of arm_threshold_rows. rot_bandwidth, rdd_cdf and
+arm_threshold are their one-row case.
 """
 
 from __future__ import annotations
@@ -37,8 +38,24 @@ class EmptyWindow(EstimationError):
 
 
 def epanechnikov(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+    return _epanechnikov_over(np.array(u, dtype=float))
+
+
+def kernel_weights(r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Epanechnikov weights of each row of r at its own bandwidth in h."""
+    return _epanechnikov_over(r / h[:, None])
+
+
+def _epanechnikov_over(u: np.ndarray) -> np.ndarray:
+    """Kernel weights written over u, 0.75 (1 - u^2) inside [-1, 1] and 0
+    elsewhere; every weight is finite and at least +0, so a product with
+    a 0/1 mask equals the masked weights bit for bit."""
+    inside = (u >= -1.0) & (u <= 1.0)
+    np.multiply(u, u, out=u)
+    np.subtract(1.0, u, out=u)
+    u *= 0.75
+    u[~inside] = 0.0
+    return u
 
 
 def rot_bandwidths(r: np.ndarray) -> np.ndarray:
@@ -58,55 +75,69 @@ def rot_bandwidth(r: np.ndarray) -> float:
 
 
 def side_masses(
-    r: np.ndarray, d: np.ndarray, h: np.ndarray
+    w: np.ndarray, above: np.ndarray, below: np.ndarray, treated: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernel mass above and below the cutoff and the first-stage jump,
     per row.
 
-    r and d keep each sample's own row order, because the sums round
-    differently in another order; h holds one bandwidth per row. A row
-    without mass on a side gets a non-finite jump.
+    w holds the kernel weights and the boolean masks above, below and
+    treated mark the units above and below the cutoff and the treated
+    ones. Each row keeps its sample's own order, because the sums round
+    differently in another order. A row without mass on a side gets a
+    non-finite jump.
     """
-    w = epanechnikov(r / h[:, None])
-    w_above = np.where(r > 0, w, 0.0)
-    w_below = np.where(r < 0, w, 0.0)
-    s_above = w_above.sum(axis=1)
-    s_below = w_below.sum(axis=1)
+    side = np.multiply(w, above)
+    s_above = side.sum(axis=1)
+    side *= treated
+    taken_above = side.sum(axis=1)
+    np.multiply(w, below, out=side)
+    s_below = side.sum(axis=1)
+    side *= treated
+    taken_below = side.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        jump = (w_above * d).sum(axis=1) / s_above - (w_below * d).sum(axis=1) / s_below
+        jump = taken_above / s_above - taken_below / s_below
     return s_above, s_below, jump
 
 
 def jump_ratio_rows(
     ys: np.ndarray,
     r: np.ndarray,
-    d: np.ndarray,
+    treated: np.ndarray,
     w: np.ndarray,
     window: np.ndarray,
     s_above: np.ndarray,
     s_below: np.ndarray,
     jump: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Complier CDF values of each row at its knots.
 
-    ys sorts each row by outcome, and r, d and the kernel weights w
-    follow that order. window marks the entries within the bandwidth,
-    the only ones that carry weight or place a knot; any others must
-    follow them in the row and not tie with them (packed rows padded
-    with r = y = inf). s_above, s_below and jump come from side_masses.
-    Returns (at_knot, beta1, beta0); the values mean something only
+    ys sorts each row by outcome, and r, the boolean treated and the
+    kernel weights w follow that order. window marks the entries within
+    the bandwidth, the only ones that carry weight or place a knot; any
+    others must follow them in the row and not tie with them (packed
+    rows padded with r = y = inf). s_above, s_below and jump come from
+    side_masses. Returns (at_knot, betas): betas[0] holds beta1 and
+    betas[1] beta0, each shaped like ys; the values mean something only
     where at_knot is set.
     """
-    above = np.where(r > 0, w, 0.0)
-    below = np.where(r < 0, w, 0.0)
-    weights = np.stack([above * d, below * d, above * (1.0 - d), below * (1.0 - d)])
-    at_knot, sums = step_sums(ys, weights)
-    at_knot &= window
-    s_above, s_below, jump = s_above[:, None], s_below[:, None], jump[:, None]
+
+    def side_means(on_side: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # running kernel mass of the arm-1 and the arm-0 takers on one side
+        # of the cutoff, over that side's total mass
+        sums = np.empty((2,) + ys.shape)
+        np.multiply(w, on_side, out=sums[0])
+        np.multiply(sums[0], ~treated, out=sums[1])
+        sums[0] *= treated
+        at_knot, sums = step_sums(ys, sums)
+        sums /= mass[:, None]
+        return at_knot, sums
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta1 = (sums[0] / s_above - sums[1] / s_below) / jump
-        beta0 = (sums[2] / s_above - sums[3] / s_below) / -jump
-    return at_knot, beta1, beta0
+        at_knot, betas = side_means(r > 0, s_above)
+        betas -= side_means(r < 0, s_below)[1]
+        betas[0] /= jump[:, None]
+        betas[1] /= -jump[:, None]
+    return at_knot & window, betas
 
 
 @dataclass(frozen=True)
@@ -132,8 +163,10 @@ def rdd_cdf(data: ObservationSet, h: float | None = None) -> RddCdfPair:
         h = rot_bandwidth(data.r)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    d = data.d.astype(float)
-    s_above, s_below, jump = side_masses(data.r[None], d[None], np.array([h], dtype=float))
+    r = data.r[None]
+    s_above, s_below, jump = side_masses(
+        epanechnikov(r / h), r > 0, r < 0, data.d[None].astype(bool)
+    )
     if not s_above[0] > 0.0:
         raise EmptyWindow(f"no kernel mass above the cutoff within h = {h:g}")
     if not s_below[0] > 0.0:
@@ -144,9 +177,9 @@ def rdd_cdf(data: ObservationSet, h: float | None = None) -> RddCdfPair:
             f"first-stage jump {denom1:.3e} below {DENOM_EPS}"
         )
 
-    ys, r, d = _window_by_outcome(data, h)
-    at_knot, beta1, beta0 = jump_ratio_rows(
-        ys, r, d.astype(float), epanechnikov(r / h), np.abs(r) <= h, s_above, s_below, jump
+    ys, r, treated = _window_by_outcome(data, h)
+    at_knot, (beta1, beta0) = jump_ratio_rows(
+        ys, r, treated, epanechnikov(r / h), np.abs(r) <= h, s_above, s_below, jump
     )
     knots = ys[at_knot]
     return RddCdfPair(
@@ -157,51 +190,58 @@ def rdd_cdf(data: ObservationSet, h: float | None = None) -> RddCdfPair:
 
 
 def _window_by_outcome(data: ObservationSet, h: float):
-    """(y, r, d) of the units within h of the cutoff as one row, sorted
-    by outcome; the only units the kernel estimators weigh."""
+    """(y, r, treated) of the units within h of the cutoff as one row,
+    sorted by outcome; the only units the kernel estimators weigh."""
     near = np.abs(data.r) <= h
     order = np.argsort(data.y[near], kind="stable")
-    return data.y[near][order][None], data.r[near][order][None], data.d[near][order][None]
+    treated = data.d[near][order].astype(bool)
+    return data.y[near][order][None], data.r[near][order][None], treated[None]
 
 
 def arm_threshold_rows(
     ys: np.ndarray,
     r: np.ndarray,
-    d: np.ndarray,
+    treated: np.ndarray,
     w: np.ndarray,
-    h: np.ndarray,
-    arm: int,
+    window: np.ndarray,
+    arms: tuple[int, ...],
     level: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """arm_threshold of each row; ys sorts each row by outcome, and r, d
-    and the kernel weights w follow that order.
+    """arm_threshold of each row for each arm in arms; ys sorts each row
+    by outcome, r, the boolean treated and the kernel weights w follow
+    that order, and window marks the entries within the bandwidth.
 
-    Returns (thresholds, empty); empty flags the rows without arm-taker
-    kernel mass in the window. The interpolation is np.interp over each
-    row's arm takers, done for all rows at once.
+    Returns (thresholds, empty), shaped (len(arms), rows); empty flags
+    the rows without arm-taker kernel mass in the window. The
+    interpolation is np.interp over each row's arm takers, done for all
+    rows and arms at once.
     """
-    keep = (np.abs(r) <= h[:, None]) & (r != 0.0) & (d == arm)
+    keep = (treated == np.reshape(arms, (-1, 1, 1))) & (window & (r != 0.0))
     ws = np.where(keep, w, 0.0)
-    cum = np.cumsum(ws, axis=1)
-    total = cum[:, -1]
+    pos = np.cumsum(ws, axis=-1)
+    total = pos[..., -1:].copy()
+    ws *= 0.5
+    pos -= ws
+    del ws
     with np.errstate(divide="ignore", invalid="ignore"):
-        pos = (cum - 0.5 * ws) / total[:, None]
+        pos /= total
     # midpoint ranks do not fall along the arm takers, so those with rank
     # at or below level come first; find a row's k-th taker by counting
-    seen = np.cumsum(keep, axis=1)
-    below = np.count_nonzero(keep & (pos <= level), axis=1)
+    seen = np.cumsum(keep, axis=-1)
+    below = np.count_nonzero(keep & (pos <= level), axis=-1)
     rows = np.arange(ys.shape[0])
 
     def taker(k: np.ndarray) -> np.ndarray:
-        return np.minimum(np.count_nonzero(seen < k[:, None], axis=1), ys.shape[1] - 1)
+        return np.minimum(np.count_nonzero(seen < k[..., None], axis=-1), ys.shape[1] - 1)
 
     lo, hi = taker(np.maximum(below, 1)), taker(below + 1)
-    x0, y0 = pos[rows, lo], ys[rows, lo]
-    x1, y1 = pos[rows, hi], ys[rows, hi]
-    inside = (below > 0) & (below < seen[:, -1]) & (x0 != level)
+    x0 = np.take_along_axis(pos, lo[..., None], axis=-1)[..., 0]
+    x1 = np.take_along_axis(pos, hi[..., None], axis=-1)[..., 0]
+    y0, y1 = ys[rows, lo], ys[rows, hi]
+    inside = (below > 0) & (below < seen[..., -1]) & (x0 != level)
     with np.errstate(divide="ignore", invalid="ignore"):
         between = (y1 - y0) / (x1 - x0) * (level - x0) + y0
-    return np.where(inside, between, y0), ~(total > 0.0)
+    return np.where(inside, between, y0), ~(total[..., 0] > 0.0)
 
 
 def arm_threshold(
@@ -236,12 +276,12 @@ def arm_threshold(
         h = rot_bandwidth(data.r)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    ys, r, d = _window_by_outcome(data, h)
+    ys, r, treated = _window_by_outcome(data, h)
     empty = True
     if ys.size:
-        thr, (empty,) = arm_threshold_rows(
-            ys, r, d, epanechnikov(r / h), np.array([h], dtype=float), arm, level
+        thr, ((empty,),) = arm_threshold_rows(
+            ys, r, treated, epanechnikov(r / h), np.abs(r) <= h, (arm,), level
         )
     if empty:
         raise EmptyWindow(f"no arm-{arm} kernel mass within h = {h:g} of the cutoff")
-    return float(thr[0])
+    return float(thr[0, 0])

@@ -168,12 +168,13 @@ def step_sums(ys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     weight arrays at once.
 
     Returns (at_knot, sums). sums holds the running totals along the
-    last axis, and at_knot marks the last entry of each run of tied
+    last axis, written over weights (a float array the caller builds for
+    the call), and at_knot marks the last entry of each run of tied
     outcomes, so a knot's total counts every tied unit.
     """
     at_knot = np.ones(ys.shape, dtype=bool)
     at_knot[..., :-1] = ys[..., 1:] != ys[..., :-1]
-    return at_knot, np.cumsum(weights, axis=-1)
+    return at_knot, np.cumsum(weights, axis=-1, out=weights)
 
 
 def pack_rows(keep: np.ndarray, *columns: tuple[np.ndarray, float]) -> list[np.ndarray]:
@@ -184,8 +185,11 @@ def pack_rows(keep: np.ndarray, *columns: tuple[np.ndarray, float]) -> list[np.n
     are padded with fill.
     """
     ri, ci = np.nonzero(keep)
-    slot = np.cumsum(keep, axis=1)[ri, ci] - 1
-    width = int(slot.max(initial=0)) + 1
+    count = np.count_nonzero(keep, axis=1)
+    # np.nonzero lists a row's entries together, in order, so an entry's
+    # slot is its place in that run
+    slot = np.arange(ri.size) - np.repeat(np.cumsum(count) - count, count)
+    width = max(int(count.max(initial=0)), 1)
     packed = []
     for values, fill in columns:
         out = np.full((keep.shape[0], width), fill, dtype=values.dtype)
@@ -239,20 +243,24 @@ def tail_view(cdf: StepCdf) -> StepCdf:
 def tail_view_rows(
     values: np.ndarray, at_knot: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """tail_view of each row of a (samples x m) matrix of CDF values.
+    """tail_view of each row of a (..., samples x m) array of CDF values.
 
-    Only the entries marked at_knot (all, when omitted) are values; the
-    others take the value of the preceding knot, or 0 before the first.
-    Returns (view, degenerate); degenerate flags the rows whose values
-    never rise above 0, where tail_view raises.
+    Only the entries marked at_knot (all, when omitted; it broadcasts
+    against values) are values; the others take the value of the
+    preceding knot, or 0 before the first. Returns (view, degenerate);
+    degenerate flags the rows whose values never rise above 0, where
+    tail_view raises.
     """
-    if at_knot is not None:
-        values = np.where(at_knot, values, -np.inf)
-    peak = np.maximum.accumulate(values, axis=1)
-    top = peak[:, -1:]
+    if at_knot is None:
+        view = np.array(values, dtype=float)
+    else:
+        view = np.where(at_knot, values, -np.inf)
+    np.maximum.accumulate(view, axis=-1, out=view)
+    top = view[..., -1:].copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        view = np.clip(peak / top, 0.0, 1.0)
-    return view, ~(top[:, 0] > 0.0)
+        view /= top
+    np.clip(view, 0.0, 1.0, out=view)
+    return view, ~(top[..., 0] > 0.0)
 
 
 def left_inverse(m: MonotoneCdf, q: float) -> float:

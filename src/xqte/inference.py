@@ -14,15 +14,18 @@ Draw streams come from a caller-supplied rng_for_draw(t) so results do
 not depend on worker count or draw order.
 
 Discontinuity draws are computed in chunks rather than one at a time.
-The full sample is sorted by outcome once (stably, so tied outcomes
-keep their row order); each chunk gathers its draws as a (draws x b)
-matrix in that order, cut down to each draw's bandwidth window, plus
-one in index order for the order-sensitive kernel sums, and re-derives
-every draw's bandwidth, jump-ratio CDFs, arm thresholds, proper-CDF
-views and tail indices with row-wise array operations. A chunk holds at
-most CHUNK_ELEMENTS entries per matrix, so memory stays bounded
-whatever b and the draw count are. The results equal those of the
-per-draw recipe bit for bit.
+The full sample is ranked by outcome once (stably, so tied outcomes
+keep their row order). Each chunk gathers its draws as a (draws x b)
+matrix in index order, for the bandwidths and the order-sensitive
+kernel sums, then sorts each draw's outcome ranks with those outside
+its bandwidth window moved to the back, which leaves a much narrower
+matrix of window units in outcome order. From that one matrix the
+jump-ratio CDFs, and for both arms at once the thresholds, proper-CDF
+views and tail indices, come from row-wise array operations; the two
+arms are one stack of rows, so each of those steps runs once per chunk.
+A chunk holds at most CHUNK_ELEMENTS entries per (draws x b) matrix, so
+memory stays bounded whatever b and the draw count are. The results
+equal those of the per-draw recipe bit for bit.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ import numpy as np
 from .cdf_rdd import (
     DENOM_EPS,
     arm_threshold_rows,
-    epanechnikov,
     jump_ratio_rows,
+    kernel_weights,
     rot_bandwidths,
     side_masses,
 )
-from .core import EstimationError, StepCdf, pack_rows, tail_view, tail_view_rows
+from .core import EstimationError, StepCdf, tail_view, tail_view_rows
 from .pipeline import FittedPipeline, subset_cdfs
 from .tail import (
     EmptyTail,
@@ -53,8 +56,11 @@ from .tail import (
     view_index_rows,
 )
 
-# entries per (draws x b) matrix in one chunk of discontinuity draws
-CHUNK_ELEMENTS = 2**13
+# entries per (draws x b) matrix in one chunk of discontinuity draws. A
+# chunk keeps about three such matrices of 8-byte entries alive at once
+# (ranks, masks and window matrices are smaller); larger chunks spend
+# less time in per-call overhead but raise the process's peak memory.
+CHUNK_ELEMENTS = 2**14
 
 # Convergence-rate exponent per design: the scaled dispersion
 # (b/n)^exponent (draw - point) mimics the sampling error of the full
@@ -65,6 +71,12 @@ RATE_EXPONENT = {"iv": 0.5, "rdd": 0.4, "direct": 0.5}
 
 class UnstableSubsampling(EstimationError):
     """Too many subsample draws failed to produce a usable tail fit."""
+
+
+class UndefinedEstimate(EstimationError):
+    """A point estimate or an interval endpoint came out NaN, as when
+    both arms' extrapolated quantiles overflow to inf and their
+    difference is inf - inf."""
 
 
 @dataclass(frozen=True)
@@ -217,43 +229,76 @@ def _rdd_draws(pipeline, cfg, b, rng_for_draw):
     data, settings = pipeline.data, pipeline.settings
     n = data.n
     order = np.argsort(data.y, kind="stable")
-    rank = np.empty(n, dtype=np.intp)
+    # outcome ranks in the smallest type that also holds the sentinel rank n
+    rank = np.empty(n, dtype=np.min_scalar_type(n))
     rank[order] = np.arange(n)
     # sorted copies end in a sentinel unit that packed rows are padded with
     y_sorted = np.append(data.y[order], np.inf)
     r_sorted = np.append(data.r[order], np.inf)
-    d = data.d.astype(float)
-    d_sorted = np.append(d[order], 0.0)
+    treated = data.d.astype(bool)
+    treated_sorted = np.append(treated[order], False)
+    del order
+    # both arms run as one stack of rows, arm 1 first as in TailDraws
+    arms = (1, 0)
+    shifts = np.array([[pipeline.fit1.shift], [pipeline.fit0.shift]])
+
+    def refit(draws: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(alphas, thresholds, failed) of a chunk of draws.
+
+        Each matrix is dropped as soon as the next stage no longer needs
+        it, and the rest die on return, before the next chunk's: the
+        chunk's peak memory is what CHUNK_ELEMENTS is sized against.
+        """
+        idx = np.empty((len(draws), b), dtype=np.intp)
+        for row, t in enumerate(draws):
+            idx[row] = rng_for_draw(t).choice(n, size=b, replace=False)
+        idx.sort(axis=1)
+        r, units = data.r[idx], rank[idx]
+        above, below, taken = r > 0, r < 0, treated[idx]
+        del idx
+        h = rot_bandwidths(r)
+        # only the window carries kernel weight, places knots and holds the
+        # arm takers; entries outside it take the sentinel rank n, which
+        # sorts behind every unit and leaves each row's window entries at
+        # its front in outcome order
+        window = np.abs(r) <= h[:, None]
+        w = kernel_weights(r, h)
+        del r
+        s_above, s_below, jump = side_masses(w, above, below, taken)
+        del w, above, below, taken
+        ok = (h > 0.0) & (s_above > 0.0) & (s_below > 0.0) & (np.abs(jump) >= DENOM_EPS)
+        units[~window] = n
+        units.sort(axis=1)
+        units = units[:, : max(int(np.count_nonzero(window, axis=1).max()), 1)].copy()
+        del window
+        ys, r, taken = y_sorted[units], r_sorted[units], treated_sorted[units]
+        inside = units < n
+        del units
+        w = kernel_weights(r, h)
+        thr, empty = arm_threshold_rows(ys, r, taken, w, inside, arms, settings.ymin_level)
+        at_knot, betas = jump_ratio_rows(ys, r, taken, w, inside, s_above, s_below, jump)
+        del r, taken, w, inside
+        view, degenerate = tail_view_rows(betas, at_knot)
+        del betas
+        th = thr + shifts
+        width = ys.shape[1]
+        alpha = view_index_rows(
+            (ys + shifts[:, :, None]).reshape(-1, width),
+            view.reshape(-1, width),
+            np.broadcast_to(at_knot, view.shape).reshape(-1, width),
+            th.ravel(),
+            settings.omega,
+        )
+        return alpha.reshape(2, -1).T, th.T, ~ok | (empty | degenerate).any(axis=0)
+
     alphas = np.empty((cfg.draws, 2))
     thresholds = np.empty((cfg.draws, 2))
     failed = np.empty(cfg.draws, dtype=bool)
     step = max(1, CHUNK_ELEMENTS // b)
-    for start in range(0, cfg.draws, step):
-        chunk = slice(start, min(start + step, cfg.draws))
-        draws = range(start, chunk.stop)
-        idx = np.sort([rng_for_draw(t).choice(n, size=b, replace=False) for t in draws], axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = rot_bandwidths(data.r[idx])
-            s_above, s_below, jump = side_masses(data.r[idx], d[idx], h)
-            by_outcome = np.sort(rank[idx], axis=1)
-            # only the window carries kernel weight, places knots and holds
-            # the arm takers, so each row keeps its window entries alone
-            window = np.abs(r_sorted[by_outcome]) <= h[:, None]
-            (units,) = pack_rows(window, (by_outcome, n))
-            ys, r, dd = y_sorted[units], r_sorted[units], d_sorted[units]
-            w = epanechnikov(r / h[:, None])
-            inside = units < n
-            at_knot, beta1, beta0 = jump_ratio_rows(ys, r, dd, w, inside, s_above, s_below, jump)
-            bad = ~((h > 0.0) & (s_above > 0.0) & (s_below > 0.0) & (np.abs(jump) >= DENOM_EPS))
-            arms = ((1, beta1, pipeline.fit1), (0, beta0, pipeline.fit0))
-            for col, (arm, beta, fit) in enumerate(arms):
-                thr, empty = arm_threshold_rows(ys, r, dd, w, h, arm, settings.ymin_level)
-                view, degenerate = tail_view_rows(beta, at_knot)
-                th = thr + fit.shift
-                alphas[chunk, col] = view_index_rows(ys + fit.shift, view, at_knot, th, fit.omega)
-                thresholds[chunk, col] = th
-                bad |= empty | degenerate
-        failed[chunk] = bad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, cfg.draws, step):
+            chunk = slice(start, min(start + step, cfg.draws))
+            alphas[chunk], thresholds[chunk], failed[chunk] = refit(range(start, chunk.stop))
     return alphas, thresholds, failed
 
 
@@ -274,7 +319,8 @@ def qte_draws_from_tails(
         fit0, level, tails.alphas[:, 1], survivals=tails.survivals[:, 1],
         thresholds=tails.thresholds[:, 1],
     )
-    return q1 - q0
+    with np.errstate(invalid="ignore"):  # inf - inf; estimate_qte_batch raises on the NaN
+        return q1 - q0
 
 
 @dataclass(frozen=True)
@@ -334,7 +380,8 @@ def estimate_qte_batch(
     quantile levels on the original outcome scale.
 
     The alpha draws do not depend on q, so one set of subsample refits
-    serves every level. Omitting cfg skips inference entirely.
+    serves every level. Omitting cfg skips inference entirely. A NaN
+    point estimate or interval endpoint raises UndefinedEstimate.
 
     A lower-tail pipeline was fitted on negated outcomes, so level q is
     estimated at 1 - q there, and the point and every draw are negated
@@ -346,6 +393,11 @@ def estimate_qte_batch(
     points = [qte_point(pipeline.fit1, pipeline.fit0, level) for level in levels]
     if lower:
         points = [0.0 - p for p in points]
+    for q, point in zip(q_list, points):
+        if math.isnan(point):
+            raise UndefinedEstimate(
+                f"the point estimate at q = {q:g} is NaN: both arms' quantiles overflow"
+            )
     if cfg is None:
         return [QteResult(q=q, estimate=p, ci=None) for q, p in zip(q_list, points)]
     if rng_for_draw is None:
@@ -359,5 +411,10 @@ def estimate_qte_batch(
         ci = subsampling_ci(
             draws, point, cfg, pipeline.data.design, pipeline.data.n, tails.failed
         )
+        if math.isnan(ci.lo) or math.isnan(ci.hi):
+            raise UndefinedEstimate(
+                f"the interval at q = {q:g} has a NaN endpoint: "
+                f"{int(np.isnan(draws).sum())} of {draws.size} draws are NaN"
+            )
         out.append(QteResult(q=q, estimate=point, ci=ci))
     return out

@@ -297,4 +297,5 @@ def qte_point(fit1: TailFit, fit0: TailFit, level: float) -> float:
     Lower-tail targets are mapped onto this in estimate_qte_batch.
     """
     q1, q0 = (extrapolated_quantiles(fit, level, [fit.alpha_hat])[0] for fit in (fit1, fit0))
-    return float(q1 - q0)
+    with np.errstate(invalid="ignore"):  # inf - inf; estimate_qte_batch raises on the NaN
+        return float(q1 - q0)

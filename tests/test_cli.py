@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -236,6 +238,19 @@ class TestExitCodes:
                 "--out", str(tmp_path / "o")]
         assert main(argv) == 4
         assert "estimation error" in capsys.readouterr().err
+
+    def test_nan_estimate_is_estimation_error(self, tmp_path, capsys):
+        # both arms' tail index at 1e-4: their extrapolated quantiles
+        # overflow, and the effect would be inf - inf
+        def tiny_index_fit(*args, **kwargs):
+            pipe = fit_pipeline(*args, **kwargs)
+            fit1, fit0 = (dataclasses.replace(f, alpha_hat=1e-4) for f in (pipe.fit1, pipe.fit0))
+            return dataclasses.replace(pipe, fit1=fit1, fit0=fit0)
+
+        with mock.patch("xqte.cli.fit_pipeline", tiny_index_fit):
+            assert run_estimate_rdd(tmp_path) == 4
+        assert "UndefinedEstimate" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "qte.csv").exists()
 
     def test_bad_flag_value(self):
         assert main(["estimate-rdd", "--q", "abc"]) == 2

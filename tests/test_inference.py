@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from xqte.core import ObservationSet, StepCdf, flip_outcomes, substream
+from xqte import inference
 from xqte.inference import (
     RATE_EXPONENT,
     SubsampleConfig,
     TailDraws,
+    UndefinedEstimate,
     UnstableSubsampling,
     _tail_at_frozen_threshold,
     estimate_qte_batch,
@@ -378,3 +382,45 @@ class TestCoverageSmoke:
         assert covered / reps >= 0.70
         assert abs(np.mean(points) - true) < 0.35
         assert np.mean(points) == pytest.approx(true, rel=0.10)
+
+
+class TestOverflow:
+    """Tail indices so small that both arms' extrapolated quantiles
+    overflow to inf leave inf - inf = NaN, which must raise instead of
+    reaching an artifact."""
+
+    def make_pipe(self):
+        data = direct_set(pareto(60, 800, 2.0), pareto(61, 800, 2.0, scale=2.0))
+        return fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
+
+    @staticmethod
+    def tiny(fit):
+        return replace(fit, alpha_hat=1e-4)
+
+    @pytest.mark.parametrize("tail_side", ["upper", "lower"])
+    def test_nan_point_raises(self, tail_side):
+        pipe = self.make_pipe()
+        pipe = replace(pipe, fit1=self.tiny(pipe.fit1), fit0=self.tiny(pipe.fit0),
+                       tail_side=tail_side)
+        assert math.isnan(qte_point(pipe.fit1, pipe.fit0, 0.95))
+        with pytest.raises(UndefinedEstimate, match="point estimate at q = "):
+            estimate_qte_batch(pipe, [0.05 if tail_side == "lower" else 0.95])
+
+    def test_nan_draws_raise(self):
+        pipe = self.make_pipe()
+        cfg = SubsampleConfig(draws=100)
+        tails = subsample_tail_pairs(pipe, cfg, draw_stream(62))
+        assert tails.failed == 0
+        # ten draws whose indices overflow both arms at the full-sample
+        # survivals; the point stays finite
+        alphas, survivals = tails.alphas.copy(), tails.survivals.copy()
+        alphas[:10] = [self.tiny(pipe.fit1).alpha_hat, self.tiny(pipe.fit0).alpha_hat]
+        survivals[:10] = [pipe.fit1.s_min, pipe.fit0.s_min]
+        nan_tails = replace(tails, alphas=alphas, survivals=survivals)
+        assert np.isnan(qte_draws_from_tails(pipe.fit1, pipe.fit0, nan_tails, 0.95)).sum() == 10
+        with mock.patch.object(inference, "subsample_tail_pairs", return_value=nan_tails):
+            with pytest.raises(UndefinedEstimate, match="10 of 100 draws are NaN"):
+                estimate_qte_batch(pipe, [0.95], cfg, draw_stream(62))
+        with mock.patch.object(inference, "subsample_tail_pairs", return_value=tails):
+            (res,) = estimate_qte_batch(pipe, [0.95], cfg, draw_stream(62))
+        assert math.isfinite(res.ci.lo) and math.isfinite(res.ci.hi)

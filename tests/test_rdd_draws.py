@@ -169,13 +169,63 @@ def test_engine_matches_per_draw_oracle(data, b_share, draws, chunk, budget, low
         check_engine(pipe, cfg, seed)
 
 
+def simulation_pipe():
+    """Lower-tail pipeline on 3000 units of the simulation design; b = 272."""
+    return fit_pipeline(gen_rdd(substream(3, 0), 3000).data, tail_side="lower")
+
+
 def test_chunked_draws_match_oracle_on_the_simulation_design():
-    data = gen_rdd(substream(3, 0), 3000).data
-    pipe = fit_pipeline(data, tail_side="lower")
-    # 137 draws of b = 272 make chunks of 30 draws and a last one of 17
-    assert inference.CHUNK_ELEMENTS // 272 == 30
-    failures = check_engine(pipe, SubsampleConfig(draws=137), 4)
+    pipe = simulation_pipe()
+    # 100 draws of b = 272 make a chunk of 60 draws and a last one of 40
+    assert inference.CHUNK_ELEMENTS // 272 == 60
+    failures = check_engine(pipe, SubsampleConfig(draws=100), 4)
     assert not failures
+
+
+@pytest.mark.parametrize("per_chunk", [1, 33])
+def test_one_draw_chunks(per_chunk):
+    # one draw in every chunk, or 33-draw chunks and a last one of one draw
+    with mock.patch.object(inference, "CHUNK_ELEMENTS", per_chunk * 272):
+        assert not check_engine(simulation_pipe(), SubsampleConfig(draws=100), 5)
+
+
+def force_arm_flag(fn, arm, flag):
+    """fn with its per-arm failure flag (result[flag], shaped (arms, draws))
+    set for one arm on every third draw of each chunk."""
+
+    def forced(*args, **kwargs):
+        out = list(fn(*args, **kwargs))
+        out[flag] = out[flag].copy()
+        out[flag][arm, ::3] = True
+        return tuple(out)
+
+    return forced
+
+
+@pytest.mark.parametrize(
+    "name, arm, flag",
+    [("arm_threshold_rows", 0, 1), ("tail_view_rows", 1, 1)],
+    ids=["empty arm-0 window", "degenerate arm-1 view"],
+)
+def test_one_failed_arm_fails_the_whole_draw(name, arm, flag):
+    # a sample cannot fail one arm alone: a first-stage jump needs kernel
+    # mass from both arms' takers, and each jump-ratio CDF ends near 1,
+    # so the flag is forced on draws 0, 3, 6, ... (chunks of 30 draws)
+    pipe = simulation_pipe()
+    cfg = SubsampleConfig(draws=120, max_failure_share=0.5)
+    b = cfg.validate(pipe.data.n)
+    stream = lambda t: substream(7, t)  # noqa: E731
+    assert not check_engine(pipe, cfg, 7)
+    with mock.patch.object(inference, "CHUNK_ELEMENTS", 30 * b):
+        alphas, thresholds, failed = inference._rdd_draws(pipe, cfg, b, stream)
+        forced = force_arm_flag(getattr(inference, name), arm, flag)
+        with mock.patch.object(inference, name, forced):
+            tails = subsample_tail_pairs(pipe, cfg, stream)
+    assert not failed.any()
+    kept = np.arange(cfg.draws) % 3 != 0
+    assert tails.failed == cfg.draws - kept.sum()
+    assert np.array_equal(tails.alphas, alphas[kept])
+    assert np.array_equal(tails.thresholds, thresholds[kept])
 
 
 def test_all_flat_chunks():

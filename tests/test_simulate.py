@@ -1,8 +1,12 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from xqte.core import substream
+from xqte.pipeline import fit_pipeline
 from xqte.simulate import (
     TRUE_QTE_IV,
     TRUE_QTE_RDD,
@@ -161,6 +165,20 @@ class TestRunMc:
                        reps=2, seed=7, subsample=None)
         cells = run_mc(cfg).cells
         assert [(c.n_used, c.n_failed) for c in cells] == [(0, 2), (0, 2)]
+
+    def test_nan_estimate_fails_the_replication(self):
+        # both arms' tail index at 1e-4: the point estimate is inf - inf
+        def tiny_index_fit(*args, **kwargs):
+            pipe = fit_pipeline(*args, **kwargs)
+            fit1, fit0 = (replace(f, alpha_hat=1e-4) for f in (pipe.fit1, pipe.fit0))
+            return replace(pipe, fit1=fit1, fit0=fit0)
+
+        # at q = 0.01 the target lies beyond the threshold (ymin_level 0.975)
+        cfg = McConfig(design="rdd", n_list=(1000,), q_list=(0.01,),
+                       reps=2, seed=6, subsample=None)
+        with mock.patch("xqte.simulate.fit_pipeline", tiny_index_fit):
+            cell = run_mc(cfg).cells[0]
+        assert (cell.n_used, cell.n_failed) == (0, 2)
 
     def test_deterministic_and_isolated_substreams(self):
         cfg = McConfig(design="iv", n_list=(600,), q_list=(0.025,),
