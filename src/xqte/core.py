@@ -1,10 +1,10 @@
-"""Shared data model: observation sets, step-function CDFs, generalized
-inverses, outcome flipping, and reproducible RNG substreams.
+"""Shared data model: observation sets, step-function CDFs, their
+proper-CDF views, outcome flipping, and reproducible RNG substreams.
 
 Counterfactual CDF estimators in this package return raw step functions
-that need not be monotone or stay inside [0, 1]. Quantile lookups go
-through an explicit monotone rearrangement so that the inversion step is
-well defined and auditable.
+that need not be monotone or stay inside [0, 1]. Tail fits read them
+through a proper-CDF view (tail_view), which is monotone and ends at
+exactly 1, so threshold lookups on it are always well defined.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ Design = Literal["iv", "rdd", "direct"]
 
 class EstimationError(Exception):
     """Base class for failures of the estimation pipeline."""
-
-
-class QuantileUnreachable(EstimationError):
-    """Requested level is never attained by the rearranged CDF."""
 
 
 class DegenerateDenominator(EstimationError):
@@ -151,14 +147,6 @@ class StepCdf:
         return StepCdf(self.knots + delta, self.values)
 
 
-@dataclass(frozen=True)
-class MonotoneCdf:
-    """Rearranged CDF: same knots, values non-decreasing within [0, 1]."""
-
-    knots: np.ndarray
-    values: np.ndarray
-
-
 def step_sums(ys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted step-CDF kernel: running weight totals read at the knots.
 
@@ -177,28 +165,7 @@ def step_sums(ys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return at_knot, np.cumsum(weights, axis=-1, out=weights)
 
 
-def pack_rows(keep: np.ndarray, *columns: tuple[np.ndarray, float]) -> list[np.ndarray]:
-    """Move each row's kept entries to its front, in order, and cut the
-    rows to the longest run of them.
-
-    columns are (values, fill) pairs shaped like keep; the packed rows
-    are padded with fill.
-    """
-    ri, ci = np.nonzero(keep)
-    count = np.count_nonzero(keep, axis=1)
-    # np.nonzero lists a row's entries together, in order, so an entry's
-    # slot is its place in that run
-    slot = np.arange(ri.size) - np.repeat(np.cumsum(count) - count, count)
-    width = max(int(count.max(initial=0)), 1)
-    packed = []
-    for values, fill in columns:
-        out = np.full((keep.shape[0], width), fill, dtype=values.dtype)
-        out[ri, slot] = values[ri, ci]
-        packed.append(out)
-    return packed
-
-
-def evaluate(cdf: StepCdf | MonotoneCdf, y) -> np.ndarray | float:
+def evaluate(cdf: StepCdf, y) -> np.ndarray | float:
     """Left-continuous evaluation of a step CDF at scalar or array y."""
     y_arr = np.asarray(y, dtype=float)
     # number of knots strictly below y gives the active segment
@@ -206,17 +173,6 @@ def evaluate(cdf: StepCdf | MonotoneCdf, y) -> np.ndarray | float:
     padded = np.concatenate(([0.0], cdf.values))
     out = padded[idx]
     return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
-
-
-def monotone_rearrange(cdf: StepCdf) -> MonotoneCdf:
-    """Clip values into [0, 1] and take the running maximum.
-
-    The result dominates the clipped input pointwise and is the smallest
-    monotone function that does, so quantile lookups are conservative in
-    the direction of earlier knots.
-    """
-    clipped = np.clip(cdf.values, 0.0, 1.0)
-    return MonotoneCdf(cdf.knots, np.maximum.accumulate(clipped))
 
 
 def tail_view(cdf: StepCdf) -> StepCdf:
@@ -261,23 +217,6 @@ def tail_view_rows(
         view /= top
     np.clip(view, 0.0, 1.0, out=view)
     return view, ~(top[..., 0] > 0.0)
-
-
-def left_inverse(m: MonotoneCdf, q: float) -> float:
-    """Smallest knot whose rearranged value reaches q.
-
-    Matches the classical left-continuous inverse of an empirical CDF
-    when applied to one. Raises QuantileUnreachable when even the last
-    knot stays below q.
-    """
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1]")
-    idx = int(np.searchsorted(m.values, q, side="left"))
-    if idx >= m.values.size:
-        raise QuantileUnreachable(
-            f"rearranged CDF tops out at {m.values[-1]:.6g} < q = {q:.6g}"
-        )
-    return float(m.knots[idx])
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

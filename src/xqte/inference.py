@@ -13,6 +13,13 @@ subset so the draws carry the threshold noise as well.
 Draw streams come from a caller-supplied rng_for_draw(t) so results do
 not depend on worker count or draw order.
 
+Every draw's tail indices come from tail.tail_index_rows, the one
+implementation of the closed-form index, with each arm of a draw as a
+row. The frozen-threshold designs refit their CDFs one draw at a time
+(the kappa weights or empirical CDFs of the subset), keep only the
+tail of each proper-CDF view and fit the tails of a batch of draws
+together.
+
 Discontinuity draws are computed in chunks rather than one at a time.
 The full sample is ranked by outcome once (stably, so tied outcomes
 keep their row order). Each chunk gathers its draws as a (draws x b)
@@ -24,8 +31,8 @@ jump-ratio CDFs, and for both arms at once the thresholds, proper-CDF
 views and tail indices, come from row-wise array operations; the two
 arms are one stack of rows, so each of those steps runs once per chunk.
 A chunk holds at most CHUNK_ELEMENTS entries per (draws x b) matrix, so
-memory stays bounded whatever b and the draw count are. The results
-equal those of the per-draw recipe bit for bit.
+memory stays bounded whatever b and the draw count are. Both designs'
+results equal those of their per-draw recipes bit for bit.
 """
 
 from __future__ import annotations
@@ -44,22 +51,16 @@ from .cdf_rdd import (
     rot_bandwidths,
     side_masses,
 )
-from .core import EstimationError, StepCdf, tail_view, tail_view_rows
+from .core import EstimationError, tail_view, tail_view_rows
 from .pipeline import FittedPipeline, subset_cdfs
-from .tail import (
-    EmptyTail,
-    NonPositiveSurvival,
-    TailFit,
-    extrapolated_quantiles,
-    pareto_index,
-    qte_point,
-    view_index_rows,
-)
+from .tail import TailFit, extrapolated_quantiles, qte_point, tail_index_rows
 
 # entries per (draws x b) matrix in one chunk of discontinuity draws. A
 # chunk keeps about three such matrices of 8-byte entries alive at once
 # (ranks, masks and window matrices are smaller); larger chunks spend
 # less time in per-call overhead but raise the process's peak memory.
+# The frozen-threshold draws fit their kept tails whenever these hold a
+# quarter of it.
 CHUNK_ELEMENTS = 2**14
 
 # Convergence-rate exponent per design: the scaled dispersion
@@ -74,9 +75,9 @@ class UnstableSubsampling(EstimationError):
 
 
 class UndefinedEstimate(EstimationError):
-    """A point estimate or an interval endpoint came out NaN, as when
-    both arms' extrapolated quantiles overflow to inf and their
-    difference is inf - inf."""
+    """A point estimate or an interval endpoint came out NaN or infinite,
+    as when an arm's extrapolated quantile overflows to inf (inf - inf
+    is NaN when both arms' do)."""
 
 
 @dataclass(frozen=True)
@@ -109,36 +110,6 @@ class SubsampleConfig:
         if not 0.0 <= self.max_failure_share < 1.0:
             raise ValueError("max_failure_share must lie in [0, 1)")
         return b
-
-
-def _tail_at_frozen_threshold(cdf: StepCdf, full_fit: TailFit) -> tuple[float, float]:
-    """Index and threshold survival from a subset CDF at the frozen
-    full-sample threshold.
-
-    The subset CDF goes through the same proper-CDF view the full fit
-    used, then the full fit's shift (if any) is applied so both live on
-    the same positive scale. Only the threshold location is frozen; the
-    returned survival is the subset's own mass beyond it and the index
-    measures the subset's tail slope against its own baseline.
-
-    On the monotone view the only degenerate geometry is a tail that is
-    flat from the threshold onward (the subset puts no resolvable mass
-    beyond it). That is the boundary case of an infinitely fast decay,
-    so it maps to an infinite index with zero survival, which
-    extrapolates to the threshold itself. Returning it as a value
-    instead of discarding keeps the draw distribution free of selection
-    on how clean the subset tail looks.
-    """
-    cdf = tail_view(cdf)
-    if full_fit.shift != 0.0:
-        cdf = cdf.shifted(full_fit.shift)
-    try:
-        fit = pareto_index(cdf, full_fit.y_min, full_fit.omega)
-    except (NonPositiveSurvival, EmptyTail):
-        return math.inf, 0.0
-    if fit.alpha_hat == 0.0:
-        return math.inf, fit.s_min
-    return fit.alpha_hat, fit.s_min
 
 
 @dataclass(frozen=True)
@@ -187,28 +158,76 @@ def subsample_tail_pairs(
 
 
 def _frozen_draws(pipeline, cfg, b, rng_for_draw):
-    """Draws at the frozen full-sample thresholds, refitted one by one."""
+    """Draws at the frozen full-sample thresholds.
+
+    Each draw refits its two CDFs on its subset and takes their
+    proper-CDF views, one draw at a time; only the tail of each view,
+    from its last knot below the frozen threshold on, is kept, copied so
+    the draw's full arrays can go. Whenever the kept tails hold
+    CHUNK_ELEMENTS // 4 entries, they are fitted together by
+    _frozen_tails, two rows per draw. A draw fails when its refit raises
+    an EstimationError or either index comes out negative.
+    """
     n = pipeline.data.n
-    alphas: list[tuple[float, float]] = []
-    survivals: list[tuple[float, float]] = []
-    failed = 0
+    fits = (pipeline.fit1, pipeline.fit0)
+    y_min = np.array([fit.y_min for fit in fits])
+    alphas, survivals, tails = [], [], []
+    failed = pending = 0
+
+    def flush():
+        if tails:
+            rows_y_min = np.tile(y_min, len(tails) // 2)
+            alpha, survival = _frozen_tails(tails, rows_y_min, pipeline.settings.omega)
+            alphas.append(alpha.reshape(-1, 2))
+            survivals.append(survival.reshape(-1, 2))
+            tails.clear()
+
     for t in range(cfg.draws):
         idx = np.sort(rng_for_draw(t).choice(n, size=b, replace=False))
         try:
-            cdf1, cdf0 = subset_cdfs(pipeline, idx)
-            a1, s1 = _tail_at_frozen_threshold(cdf1, pipeline.fit1)
-            a0, s0 = _tail_at_frozen_threshold(cdf0, pipeline.fit0)
+            views = [tail_view(cdf) for cdf in subset_cdfs(pipeline, idx)]
         except EstimationError:
             failed += 1
             continue
-        if a1 <= 0.0 or a0 <= 0.0:
-            failed += 1
-            continue
-        alphas.append((a1, a0))
-        survivals.append((s1, s0))
-    alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
-    thresholds = np.tile([pipeline.fit1.y_min, pipeline.fit0.y_min], (len(alphas), 1))
-    return alphas, np.asarray(survivals, dtype=float).reshape(-1, 2), thresholds, failed
+        for view, fit in zip(views, fits):
+            # the full fit's shift puts the view on its positive scale
+            knots = view.knots + fit.shift if fit.shift != 0.0 else view.knots
+            start = max(int(np.searchsorted(knots, fit.y_min)) - 1, 0)
+            tails.append((knots[start:].copy(), view.values[start:].copy()))
+            pending += knots.size - start
+        if pending >= CHUNK_ELEMENTS // 4:
+            flush()
+            pending = 0
+    flush()
+    alphas = np.concatenate(alphas) if alphas else np.empty((0, 2))
+    survivals = np.concatenate(survivals) if survivals else np.empty((0, 2))
+    negative = (alphas < 0.0).any(axis=1)
+    alphas, survivals = alphas[~negative], survivals[~negative]
+    thresholds = np.tile(y_min, (len(alphas), 1))
+    return alphas, survivals, thresholds, failed + int(negative.sum())
+
+
+def _frozen_tails(tails, y_min, omega):
+    """(index, threshold survival) of each CDF tail at its threshold.
+
+    tails holds (knots, values) pairs and y_min one threshold for each;
+    they go through tail_index_rows as the rows of one matrix, padded
+    with inf knots. A tail with nothing to fit (no resolvable mass
+    beyond the threshold) is the boundary case of an infinitely fast
+    decay: an infinite index with zero survival, which extrapolates to
+    the threshold itself. An index of exactly 0 (survival constant
+    beyond the threshold) is infinite too, but keeps its survival. A
+    negative index is returned as it is.
+    """
+    lengths = np.array([k.size for k, _ in tails])
+    at_knot = np.arange(lengths.max()) < lengths[:, None]
+    knots = np.full(at_knot.shape, np.inf)
+    knots[at_knot] = np.concatenate([k for k, _ in tails])
+    values = np.ones(at_knot.shape)
+    values[at_knot] = np.concatenate([v for _, v in tails])
+    alpha, s_min = tail_index_rows(knots, values, at_knot, y_min, omega)
+    empty = np.isnan(alpha)
+    return np.where(empty | (alpha == 0.0), np.inf, alpha), np.where(empty, 0.0, s_min)
 
 
 def _rdd_draws(pipeline, cfg, b, rng_for_draw):
@@ -275,21 +294,26 @@ def _rdd_draws(pipeline, cfg, b, rng_for_draw):
         inside = units < n
         del units
         w = kernel_weights(r, h)
-        thr, empty = arm_threshold_rows(ys, r, taken, w, inside, arms, settings.ymin_level)
+        # a draw that passes ok has kernel mass from both arms' takers and
+        # ratio CDFs that end near 1, so the rows' own failure flags
+        # (no arm-taker mass, a view never above 0) are never set on it
+        thr, _ = arm_threshold_rows(ys, r, taken, w, inside, arms, settings.ymin_level)
         at_knot, betas = jump_ratio_rows(ys, r, taken, w, inside, s_above, s_below, jump)
         del r, taken, w, inside
-        view, degenerate = tail_view_rows(betas, at_knot)
+        view, _ = tail_view_rows(betas, at_knot)
         del betas
         th = thr + shifts
         width = ys.shape[1]
-        alpha = view_index_rows(
+        alpha, _ = tail_index_rows(
             (ys + shifts[:, :, None]).reshape(-1, width),
             view.reshape(-1, width),
             np.broadcast_to(at_knot, view.shape).reshape(-1, width),
             th.ravel(),
             settings.omega,
         )
-        return alpha.reshape(2, -1).T, th.T, ~ok | (empty | degenerate).any(axis=0)
+        # nothing to fit, or an index at or below 0: the flat tail
+        alpha = np.where(alpha > 0.0, alpha, np.inf)
+        return alpha.reshape(2, -1).T, th.T, ~ok
 
     alphas = np.empty((cfg.draws, 2))
     thresholds = np.empty((cfg.draws, 2))
@@ -351,7 +375,10 @@ def subsampling_ci(
     rho = (b / n) ** RATE_EXPONENT[design]
     scaled = rho * (np.asarray(draws, dtype=float) - point)
     a = 1.0 - cfg.ci_level
-    s_lo, s_hi = np.quantile(scaled, [a / 2.0, 1.0 - a / 2.0])
+    # next to an infinite draw the quantile's interpolation can meet
+    # inf - inf; estimate_qte_batch raises on the endpoint that gives
+    with np.errstate(invalid="ignore"):
+        s_lo, s_hi = np.quantile(scaled, [a / 2.0, 1.0 - a / 2.0])
     return CiResult(
         lo=point - s_hi,
         hi=point - s_lo,
@@ -380,8 +407,9 @@ def estimate_qte_batch(
     quantile levels on the original outcome scale.
 
     The alpha draws do not depend on q, so one set of subsample refits
-    serves every level. Omitting cfg skips inference entirely. A NaN
-    point estimate or interval endpoint raises UndefinedEstimate.
+    serves every level. Omitting cfg skips inference entirely. A NaN or
+    infinite point estimate or interval endpoint raises
+    UndefinedEstimate.
 
     A lower-tail pipeline was fitted on negated outcomes, so level q is
     estimated at 1 - q there, and the point and every draw are negated
@@ -394,9 +422,9 @@ def estimate_qte_batch(
     if lower:
         points = [0.0 - p for p in points]
     for q, point in zip(q_list, points):
-        if math.isnan(point):
+        if not math.isfinite(point):
             raise UndefinedEstimate(
-                f"the point estimate at q = {q:g} is NaN: both arms' quantiles overflow"
+                f"the point estimate at q = {q:g} is {point}: an arm's quantile overflows"
             )
     if cfg is None:
         return [QteResult(q=q, estimate=p, ci=None) for q, p in zip(q_list, points)]
@@ -411,10 +439,11 @@ def estimate_qte_batch(
         ci = subsampling_ci(
             draws, point, cfg, pipeline.data.design, pipeline.data.n, tails.failed
         )
-        if math.isnan(ci.lo) or math.isnan(ci.hi):
+        if not (math.isfinite(ci.lo) and math.isfinite(ci.hi)):
             raise UndefinedEstimate(
-                f"the interval at q = {q:g} has a NaN endpoint: "
-                f"{int(np.isnan(draws).sum())} of {draws.size} draws are NaN"
+                f"the interval at q = {q:g} has a non-finite endpoint: "
+                f"{int(np.isnan(draws).sum())} of {draws.size} draws are NaN "
+                f"and {int(np.isinf(draws).sum())} infinite"
             )
         out.append(QteResult(q=q, estimate=point, ci=ci))
     return out

@@ -25,14 +25,7 @@ from .core import (
     step_sums,
     tail_view,
 )
-from .tail import (
-    EmptyTail,
-    NonPositiveSurvival,
-    TailFit,
-    _scale_from,
-    fit_tail,
-    pareto_index,
-)
+from .tail import TailFit, _scale_from, fit_tail, tail_index_rows
 
 
 @dataclass(frozen=True)
@@ -130,25 +123,19 @@ def _rdd_arm_tail(cdf: StepCdf, threshold: float, settings: EstimatorSettings) -
     y_min = float(threshold)
     if y_min <= 0.0:
         shift = 1.0 - y_min
-        view = view.shifted(shift)
         y_min = 1.0
     s_min = 1.0 - settings.ymin_level
-    alpha = np.inf
-    t_max = np.inf
-    try:
-        raw = pareto_index(view, y_min, settings.omega)
-        if raw.alpha_hat > 0.0:
-            alpha = raw.alpha_hat
-            t_max = raw.t_max
-    except (NonPositiveSurvival, EmptyTail):
-        pass
+    (alpha,), _ = tail_index_rows(
+        view.knots[None] + shift, view.values[None], True, np.array([y_min]), settings.omega
+    )
+    if not alpha > 0.0:
+        alpha = np.inf
     return TailFit(
         y_min=y_min,
         omega=settings.omega,
         alpha_hat=float(alpha),
         c_hat=_scale_from(s_min, y_min, alpha),
         s_min=s_min,
-        t_max=float(t_max),
         shift=shift,
     )
 

@@ -10,7 +10,10 @@ with s = 1 - beta_hat, weight w(y) = y^(-omega-1) / y_min^(-omega), and
 T the upper end of the positive-survival region. Over the full ray
 [y_min, inf) the denominator integrates to exactly 1/omega^2. For step
 CDFs both integrals have closed forms segment by segment, so the fit
-needs no numerical integration.
+needs no numerical integration. tail_index_rows is the one
+implementation of them: it fits many CDFs at once, one per row;
+pareto_index (a single CDF), the discontinuity arm fit and the
+subsample draws all call it.
 
 Quantiles at level close to 1 extrapolate along the fitted tail:
 y_min * (s(y_min) / (1 - level))^(1 / alpha_hat).
@@ -22,14 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    EstimationError,
-    StepCdf,
-    evaluate,
-    left_inverse,
-    monotone_rearrange,
-    pack_rows,
-)
+from .core import EstimationError, StepCdf
 
 
 class NonPositiveSurvival(EstimationError):
@@ -51,8 +47,7 @@ class InvalidAlpha(EstimationError):
 
 @dataclass(frozen=True)
 class TailFit:
-    """Fitted Pareto tail. s_min is survival at the threshold, t_max the
-    truncation point of the fit (inf when survival never hits zero).
+    """Fitted Pareto tail. s_min is survival at the threshold.
 
     shift records the constant added to the outcome scale before fitting
     (positivity protocol); quantiles subtract it again.
@@ -63,15 +58,7 @@ class TailFit:
     alpha_hat: float
     c_hat: float
     s_min: float
-    t_max: float
     shift: float = 0.0
-
-
-def select_ymin(cdf: StepCdf, level: float = 0.975) -> float:
-    """Threshold: smallest knot where the rearranged CDF reaches level."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    return left_inverse(monotone_rearrange(cdf), level)
 
 
 def _w_mass(u_lo: np.ndarray, u_hi: np.ndarray, omega: float) -> np.ndarray:
@@ -90,124 +77,107 @@ def _log_antideriv(u: np.ndarray, omega: float) -> np.ndarray:
     return out
 
 
-def _tail_segments(cdf: StepCdf, y_min: float):
-    """Constancy segments of the CDF on (y_min, inf): lefts, rights, survival."""
-    k, v = cdf.knots, cdf.values
-    j0 = int(np.searchsorted(k, y_min, side="right"))
-    if j0 >= k.size:
-        raise EmptyTail(f"no knots beyond threshold {y_min:g}")
-    prev = v[j0 - 1] if j0 > 0 else 0.0
-    lefts = np.concatenate([[y_min], k[j0:]])
-    rights = np.concatenate([k[j0:], [np.inf]])
-    seg_values = np.concatenate([[prev], v[j0:]])
-    return lefts, rights, 1.0 - seg_values
+def tail_index_rows(
+    knots: np.ndarray,
+    values: np.ndarray,
+    at_knot: np.ndarray | bool,
+    y_min: np.ndarray,
+    omega: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form tail index of many step CDFs at once, one per row.
+
+    knots is sorted along each row and values holds the CDF just above
+    each knot; only the entries marked at_knot (True: all of them) are
+    knots. Entries off at_knot at or below a row's threshold must carry
+    the preceding knot's value, or 0 before the first; those above it
+    are ignored. y_min holds one threshold per row. Returns (alpha,
+    s_min): the fitted index of each row, a nonpositive one as it comes
+    out, and the survival at its threshold. alpha is NaN where there is
+    nothing to fit: a threshold or threshold survival at or below 0, or
+    no segment beyond the threshold with positive survival and
+    resolvable width.
+
+    Integration runs from y_min to the end of the last segment with
+    positive survival. Interior segments where a raw estimate already
+    puts survival at or below zero carry no usable log ratio and are
+    left out of both integrals. A row's segments are the threshold's,
+    up to the first knot beyond it, then each knot's, up to the next
+    knot or inf; the leading column of the segment matrices holds the
+    threshold's. Each row's integrals are summed in segment order with
+    np.sum's rounding (_row_sums).
+    """
+    rows = np.arange(knots.shape[0])
+    th = y_min[:, None]
+    # CDF just below the threshold and at it (left-continuous evaluation)
+    n_below = np.count_nonzero(knots < th, axis=1)
+    n_upto = np.count_nonzero(knots <= th, axis=1)
+    s_min = 1.0 - np.where(n_below > 0, values[rows, n_below - 1], 0.0)
+    prev = np.where(n_upto > 0, values[rows, n_upto - 1], 0.0)
+
+    beyond = at_knot & (knots > th)
+    # each entry's next knot beyond the threshold, inf past the last one
+    nxt = np.minimum.accumulate(np.where(beyond, knots, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    lefts = np.column_stack([y_min, knots])
+    rights = np.column_stack([nxt, np.full(y_min.shape, np.inf)])
+    surv = 1.0 - np.column_stack([prev, values])
+    fit = beyond.any(axis=1) & (s_min > 0.0) & (y_min > 0.0)
+    seg = np.column_stack([fit, beyond & fit[:, None]]) & (surv > 0.0)
+    count = np.count_nonzero(seg, axis=1)
+    th_seg = np.repeat(y_min, count)
+    u_lo, u_hi = lefts[seg] / th_seg, rights[seg] / th_seg
+    log_ratio = np.log(surv[seg] / np.repeat(s_min, count))
+    num = _row_sums(seg, log_ratio * _w_mass(u_lo, u_hi, omega))
+    den = _row_sums(seg, _log_antideriv(u_lo, omega) - _log_antideriv(u_hi, omega))
+    # den is 0 without segments, and also when the positive-survival
+    # tail is narrower than float resolution at the threshold (say, a
+    # threshold an ulp below its only knot)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, -num / den, np.nan), s_min
+
+
+def _row_sums(seg: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """np.sum of each row's terms, bit for bit; seg marks where the terms
+    sit in their rows.
+
+    np.sum adds fewer than 8 entries one by one from 0, as a running sum
+    along the zero-padded row does (adding 0.0 turns its -0.0 into 0.0
+    as well); longer rows go through np.sum.
+    """
+    padded = np.zeros(seg.shape)
+    padded[seg] = terms
+    out = np.cumsum(padded, axis=1)[:, -1] + 0.0
+    for i in np.nonzero(np.count_nonzero(seg, axis=1) >= 8)[0]:
+        out[i] = np.sum(padded[i, seg[i]])
+    return out
 
 
 def pareto_index(cdf: StepCdf, y_min: float, omega: float = 1.0) -> TailFit:
-    """Closed-form tail-index fit on a step CDF above a positive threshold.
+    """Closed-form tail-index fit on a step CDF above a positive threshold:
+    the one-row case of tail_index_rows.
 
-    Integration runs from y_min to T, the end of the last segment with
-    positive survival. Interior segments where the raw estimate already
-    puts survival at or below zero carry no usable log ratio and are
-    excluded from both integrals. A non-positive alpha_hat is returned
-    rather than raised; quantile extrapolation rejects it.
+    The row starts at the last knot below the threshold, which sets the
+    threshold survival. A nonpositive alpha_hat is returned rather than
+    raised; quantile extrapolation rejects it.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     if y_min <= 0.0:
         raise ValueError("threshold must be positive; shift outcomes first")
-    s_min = 1.0 - evaluate(cdf, y_min)
+    start = max(int(np.searchsorted(cdf.knots, y_min)) - 1, 0)
+    (alpha,), (s_min,) = tail_index_rows(
+        cdf.knots[None, start:], cdf.values[None, start:], True, np.array([y_min]), omega
+    )
     if s_min <= 0.0:
-        raise NonPositiveSurvival(
-            f"survival at threshold {y_min:g} is {s_min:.3e}"
-        )
-    lefts, rights, surv = _tail_segments(cdf, y_min)
-    pos = surv > 0.0
-    if not pos.any():
-        raise EmptyTail(f"no positive survival beyond threshold {y_min:g}")
-    t_max = float(rights[np.nonzero(pos)[0][-1]])
-
-    u_lo = lefts[pos] / y_min
-    u_hi = rights[pos] / y_min
-    log_ratio = np.log(surv[pos] / s_min)
-    num = float(np.sum(log_ratio * _w_mass(u_lo, u_hi, omega)))
-    den = float(np.sum(_log_antideriv(u_lo, omega) - _log_antideriv(u_hi, omega)))
-    if den <= 0.0:
-        # the positive-survival tail is narrower than float resolution at
-        # the threshold (say, a threshold an ulp below its only knot)
-        raise EmptyTail(f"tail beyond threshold {y_min:g} has no resolvable width")
-    alpha = -num / den
+        raise NonPositiveSurvival(f"survival at threshold {y_min:g} is {s_min:.3e}")
+    if np.isnan(alpha):
+        raise EmptyTail(f"no resolvable positive survival beyond threshold {y_min:g}")
     return TailFit(
         y_min=float(y_min),
         omega=float(omega),
-        alpha_hat=alpha,
-        c_hat=_scale_from(s_min, y_min, alpha),
+        alpha_hat=float(alpha),
+        c_hat=_scale_from(float(s_min), y_min, alpha),
         s_min=float(s_min),
-        t_max=t_max,
     )
-
-
-def view_index_rows(
-    knots: np.ndarray,
-    view: np.ndarray,
-    at_knot: np.ndarray,
-    y_min: np.ndarray,
-    omega: float = 1.0,
-) -> np.ndarray:
-    """pareto_index of many proper-CDF views at once, one per row.
-
-    knots (sorted along each row) and view come from tail_view_rows:
-    entries off at_knot carry the preceding knot's view value, or 0
-    before the first. y_min holds one threshold per row. Returns the
-    fitted index of each row, or inf where pareto_index would raise
-    NonPositiveSurvival or EmptyTail or fit an index at or below 0, and
-    where the threshold is not positive: the flat-tail boundary.
-
-    On a view, survival never rises, so the segments with positive
-    survival come first and the last knot (view 1) ends them. Each
-    row's integrals are summed in pareto_index's order with np.sum's
-    rounding, so the indices match it bit for bit.
-    """
-    rows = np.arange(knots.shape[0])
-    th = y_min[:, None]
-    # view just below the threshold and at it (evaluate and _tail_segments)
-    n_below = np.count_nonzero(knots < th, axis=1)
-    n_upto = np.count_nonzero(knots <= th, axis=1)
-    s_min = 1.0 - np.where(n_below > 0, view[rows, n_below - 1], 0.0)
-    prev = np.where(n_upto > 0, view[rows, n_upto - 1], 0.0)
-
-    # segment j of a row runs from lefts[:, j] to k[:, j], the row's
-    # j-th knot beyond the threshold, with survival surv[:, j]
-    beyond = at_knot & (knots > th)
-    k, v = pack_rows(beyond, (knots, np.inf), (view, 1.0))
-    lefts = np.column_stack([y_min, k[:, :-1]])
-    surv = 1.0 - np.column_stack([prev, v[:, :-1]])
-    fit = (beyond.any(axis=1) & (s_min > 0.0) & (y_min > 0.0))[:, None]
-    seg = fit & (surv > 0.0)
-    count = np.count_nonzero(seg, axis=1)
-    th_seg = np.repeat(y_min, count)
-    u_lo, u_hi = lefts[seg] / th_seg, k[seg] / th_seg
-    log_ratio = np.log(surv[seg] / np.repeat(s_min, count))
-    num = _row_sums(seg, log_ratio * _w_mass(u_lo, u_hi, omega))
-    den = _row_sums(seg, _log_antideriv(u_lo, omega) - _log_antideriv(u_hi, omega))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = -num / den
-        return np.where((den > 0.0) & (alpha > 0.0), alpha, np.inf)
-
-
-def _row_sums(seg: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """np.sum of each row's terms, bit for bit; seg marks where the terms
-    sit in their rows, a prefix of each row.
-
-    np.sum adds fewer than 8 entries one by one from 0, as a running sum
-    along the zero-padded row does; longer rows go through np.sum.
-    """
-    padded = np.zeros(seg.shape)
-    padded[seg] = terms
-    out = np.cumsum(padded, axis=1)[:, -1]
-    for i in np.nonzero(np.count_nonzero(seg, axis=1) >= 8)[0]:
-        out[i] = np.sum(padded[i, seg[i]])
-    return out
 
 
 def _scale_from(s_min: float, y_min: float, alpha: float) -> float:
@@ -217,21 +187,25 @@ def _scale_from(s_min: float, y_min: float, alpha: float) -> float:
         return float(s_min * np.float64(y_min) ** np.float64(alpha))
 
 
-def fit_tail(cdf: StepCdf, level: float = 0.975, omega: float = 1.0) -> TailFit:
-    """Select the threshold at the given CDF level and fit the tail.
+def fit_tail(view: StepCdf, level: float = 0.975, omega: float = 1.0) -> TailFit:
+    """Fit the tail of a proper-CDF view (core.tail_view) above its first
+    knot where the view reaches level.
 
-    Positivity protocol: the fit needs y_min > 0, so when the selected
-    threshold is at or below zero all knots are shifted up until the
-    threshold sits at 1.0, the fit runs there, and the shift is recorded
-    on the TailFit so quantiles map back. Treatment-effect differences
-    are unaffected by the shift.
+    Positivity protocol: the fit needs y_min > 0, so when that threshold
+    is at or below zero all knots are shifted up until the threshold
+    sits at 1.0, the fit runs there, and the shift is recorded on the
+    TailFit so quantiles map back. Treatment-effect differences are
+    unaffected by the shift.
     """
-    y_min = select_ymin(cdf, level)
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
+    # a view is nondecreasing and ends at exactly 1, so level is reached
+    y_min = float(view.knots[np.searchsorted(view.values, level)])
     if y_min <= 0.0:
         delta = 1.0 - y_min
-        fit = pareto_index(cdf.shifted(delta), y_min + delta, omega)
+        fit = pareto_index(view.shifted(delta), y_min + delta, omega)
         return replace(fit, shift=delta)
-    return pareto_index(cdf, y_min, omega)
+    return pareto_index(view, y_min, omega)
 
 
 def extrapolated_quantiles(

@@ -1,7 +1,12 @@
 """Independent reference implementations that the tests check xqte against.
 
-They use numerical quadrature and plain per-side kernel means, so none
+Most use numerical quadrature and plain per-side kernel means, so none
 of them shares code paths with the closed-form estimators they check.
+The scalar tail-index fit (pareto_index, with _tail_segments) and the
+per-draw frozen-threshold recipe (frozen_draws, with
+_tail_at_frozen_threshold) are the library's former implementations,
+kept as they were; the row engine (tail.tail_index_rows) must match
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from xqte.cdf_rdd import EmptyWindow, epanechnikov
-from xqte.core import ObservationSet
-from xqte.tail import NonPositiveSurvival, TailFit, _scale_from
+from xqte.core import EstimationError, ObservationSet, StepCdf, evaluate, tail_view
+from xqte.pipeline import subset_cdfs
+from xqte.tail import EmptyTail, NonPositiveSurvival, TailFit, _scale_from
 
 
 def pareto_index_analytic(
@@ -50,7 +56,6 @@ def pareto_index_analytic(
         alpha_hat=alpha,
         c_hat=_scale_from(s_min, y_min, alpha),
         s_min=s_min,
-        t_max=np.inf,
     )
 
 
@@ -101,3 +106,120 @@ def one_sided_nw(
     if total <= 0.0:
         raise EmptyWindow(f"no kernel mass {side} the cutoff within h = {h:g}")
     return float((w * gv[mask]).sum() / total)
+
+
+def _w_mass(u_lo: np.ndarray, u_hi: np.ndarray, omega: float) -> np.ndarray:
+    # integral of u^(-omega-1) over [u_lo, u_hi] in threshold units;
+    # u_hi = inf contributes zero
+    return (np.power(u_lo, -omega) - np.power(u_hi, -omega)) / omega
+
+
+def _log_antideriv(u: np.ndarray, omega: float) -> np.ndarray:
+    # H(u) with H' = -log(u) u^(-omega-1); H(inf) = 0
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.zeros_like(u)
+    finite = np.isfinite(u)
+    uf = u[finite]
+    out[finite] = np.power(uf, -omega) * (omega * np.log(uf) + 1.0) / omega**2
+    return out
+
+
+def _tail_segments(cdf: StepCdf, y_min: float):
+    """Constancy segments of the CDF on (y_min, inf): lefts, rights, survival."""
+    k, v = cdf.knots, cdf.values
+    j0 = int(np.searchsorted(k, y_min, side="right"))
+    if j0 >= k.size:
+        raise EmptyTail(f"no knots beyond threshold {y_min:g}")
+    prev = v[j0 - 1] if j0 > 0 else 0.0
+    lefts = np.concatenate([[y_min], k[j0:]])
+    rights = np.concatenate([k[j0:], [np.inf]])
+    seg_values = np.concatenate([[prev], v[j0:]])
+    return lefts, rights, 1.0 - seg_values
+
+
+def pareto_index(cdf: StepCdf, y_min: float, omega: float = 1.0) -> TailFit:
+    """Closed-form tail-index fit on a step CDF above a positive threshold.
+
+    Integration runs from y_min to T, the end of the last segment with
+    positive survival. Interior segments where the raw estimate already
+    puts survival at or below zero carry no usable log ratio and are
+    excluded from both integrals. A non-positive alpha_hat is returned
+    rather than raised; quantile extrapolation rejects it.
+    """
+    if omega <= 0.0:
+        raise ValueError("omega must be positive")
+    if y_min <= 0.0:
+        raise ValueError("threshold must be positive; shift outcomes first")
+    s_min = 1.0 - evaluate(cdf, y_min)
+    if s_min <= 0.0:
+        raise NonPositiveSurvival(
+            f"survival at threshold {y_min:g} is {s_min:.3e}"
+        )
+    lefts, rights, surv = _tail_segments(cdf, y_min)
+    pos = surv > 0.0
+    if not pos.any():
+        raise EmptyTail(f"no positive survival beyond threshold {y_min:g}")
+
+    u_lo = lefts[pos] / y_min
+    u_hi = rights[pos] / y_min
+    log_ratio = np.log(surv[pos] / s_min)
+    num = float(np.sum(log_ratio * _w_mass(u_lo, u_hi, omega)))
+    den = float(np.sum(_log_antideriv(u_lo, omega) - _log_antideriv(u_hi, omega)))
+    if den <= 0.0:
+        # the positive-survival tail is narrower than float resolution at
+        # the threshold (say, a threshold an ulp below its only knot)
+        raise EmptyTail(f"tail beyond threshold {y_min:g} has no resolvable width")
+    alpha = -num / den
+    return TailFit(
+        y_min=float(y_min),
+        omega=float(omega),
+        alpha_hat=alpha,
+        c_hat=_scale_from(s_min, y_min, alpha),
+        s_min=float(s_min),
+    )
+
+
+def _tail_at_frozen_threshold(cdf: StepCdf, full_fit: TailFit) -> tuple[float, float]:
+    """Index and threshold survival from a subset CDF at the frozen
+    full-sample threshold.
+
+    The subset CDF goes through the same proper-CDF view the full fit
+    used, then the full fit's shift (if any) is applied so both live on
+    the same positive scale. A tail that is flat from the threshold
+    onward maps to an infinite index with zero survival.
+    """
+    cdf = tail_view(cdf)
+    if full_fit.shift != 0.0:
+        cdf = cdf.shifted(full_fit.shift)
+    try:
+        fit = pareto_index(cdf, full_fit.y_min, full_fit.omega)
+    except (NonPositiveSurvival, EmptyTail):
+        return np.inf, 0.0
+    if fit.alpha_hat == 0.0:
+        return np.inf, fit.s_min
+    return fit.alpha_hat, fit.s_min
+
+
+def frozen_draws(pipeline, cfg, b, rng_for_draw):
+    """Draws at the frozen full-sample thresholds, refitted one by one."""
+    n = pipeline.data.n
+    alphas: list[tuple[float, float]] = []
+    survivals: list[tuple[float, float]] = []
+    failed = 0
+    for t in range(cfg.draws):
+        idx = np.sort(rng_for_draw(t).choice(n, size=b, replace=False))
+        try:
+            cdf1, cdf0 = subset_cdfs(pipeline, idx)
+            a1, s1 = _tail_at_frozen_threshold(cdf1, pipeline.fit1)
+            a0, s0 = _tail_at_frozen_threshold(cdf0, pipeline.fit0)
+        except EstimationError:
+            failed += 1
+            continue
+        if a1 <= 0.0 or a0 <= 0.0:
+            failed += 1
+            continue
+        alphas.append((a1, a0))
+        survivals.append((s1, s0))
+    alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
+    thresholds = np.tile([pipeline.fit1.y_min, pipeline.fit0.y_min], (len(alphas), 1))
+    return alphas, np.asarray(survivals, dtype=float).reshape(-1, 2), thresholds, failed

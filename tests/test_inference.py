@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from xqte.core import ObservationSet, StepCdf, flip_outcomes, substream
+from xqte.core import ObservationSet, StepCdf, flip_outcomes, substream, tail_view
 from xqte import inference
 from xqte.inference import (
     RATE_EXPONENT,
@@ -13,7 +13,7 @@ from xqte.inference import (
     TailDraws,
     UndefinedEstimate,
     UnstableSubsampling,
-    _tail_at_frozen_threshold,
+    _frozen_tails,
     estimate_qte_batch,
     qte_draws_from_tails,
     subsample_tail_pairs,
@@ -21,7 +21,7 @@ from xqte.inference import (
 )
 from xqte.pipeline import EstimatorSettings, fit_pipeline
 from xqte.simulate import gen_iv, gen_rdd
-from xqte.tail import TailFit, extrapolated_quantiles, qte_point
+from xqte.tail import extrapolated_quantiles, qte_point
 
 
 def direct_set(y0, y1):
@@ -290,31 +290,30 @@ class TestFlatTailDraws:
     extrapolates to the threshold itself instead of being discarded.
     """
 
-    def full_fit(self, y_min):
-        return TailFit(
-            y_min=y_min, omega=1.0, alpha_hat=2.0, c_hat=1.0,
-            s_min=0.4, t_max=np.inf,
-        )
+    @staticmethod
+    def frozen_tail(knots, values, y_min):
+        """(index, survival) of one subset CDF on the frozen draws' row path."""
+        view = tail_view(StepCdf(knots, values))
+        (a,), (s,) = _frozen_tails([(view.knots, view.values)], np.array([y_min]), 1.0)
+        return a, s
 
     def test_no_knots_beyond_threshold(self):
-        cdf = StepCdf([1.0, 2.0, 3.0, 4.0], [0.5, 0.9, 1.0, 1.0])
-        assert _tail_at_frozen_threshold(cdf, self.full_fit(3.0)) == (math.inf, 0.0)
+        a, s = self.frozen_tail([1.0, 2.0, 3.0, 4.0], [0.5, 0.9, 1.0, 1.0], 3.0)
+        assert (a, s) == (math.inf, 0.0)
 
     def test_dead_baseline(self):
-        cdf = StepCdf([1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 1.0, 1.0])
-        assert _tail_at_frozen_threshold(cdf, self.full_fit(3.0)) == (math.inf, 0.0)
+        a, s = self.frozen_tail([1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 1.0, 1.0], 3.0)
+        assert (a, s) == (math.inf, 0.0)
 
     def test_constant_positive_survival(self):
         # survival sits at 0.4 on the whole tail, so the slope is zero
         # but the threshold survival itself is informative
-        cdf = StepCdf([1.0, 2.0, 3.0], [0.6, 0.6, 1.0])
-        a, s = _tail_at_frozen_threshold(cdf, self.full_fit(2.0))
+        a, s = self.frozen_tail([1.0, 2.0, 3.0], [0.6, 0.6, 1.0], 2.0)
         assert a == math.inf
         assert s == pytest.approx(0.4, rel=1e-12)
 
     def test_informative_tail_stays_finite(self):
-        cdf = StepCdf([1.0, 2.0, 3.0, 4.0], [0.5, 0.8, 0.95, 1.0])
-        a, s = _tail_at_frozen_threshold(cdf, self.full_fit(2.0))
+        a, s = self.frozen_tail([1.0, 2.0, 3.0, 4.0], [0.5, 0.8, 0.95, 1.0], 2.0)
         assert math.isfinite(a) and a > 0
         assert s == pytest.approx(0.5, rel=1e-12)
 
@@ -385,9 +384,10 @@ class TestCoverageSmoke:
 
 
 class TestOverflow:
-    """Tail indices so small that both arms' extrapolated quantiles
-    overflow to inf leave inf - inf = NaN, which must raise instead of
-    reaching an artifact."""
+    """Tail indices so small that an arm's extrapolated quantile
+    overflows to inf leave an infinite estimate, or inf - inf = NaN when
+    both arms overflow; either must raise instead of reaching an
+    artifact."""
 
     def make_pipe(self):
         data = direct_set(pareto(60, 800, 2.0), pareto(61, 800, 2.0, scale=2.0))
@@ -424,3 +424,28 @@ class TestOverflow:
         with mock.patch.object(inference, "subsample_tail_pairs", return_value=tails):
             (res,) = estimate_qte_batch(pipe, [0.95], cfg, draw_stream(62))
         assert math.isfinite(res.ci.lo) and math.isfinite(res.ci.hi)
+
+    @pytest.mark.parametrize("tail_side", ["upper", "lower"])
+    def test_infinite_point_raises(self, tail_side):
+        pipe = self.make_pipe()
+        pipe = replace(pipe, fit1=self.tiny(pipe.fit1), tail_side=tail_side)
+        assert qte_point(pipe.fit1, pipe.fit0, 0.95) == math.inf
+        with pytest.raises(UndefinedEstimate, match="point estimate at q = .* is -?inf"):
+            estimate_qte_batch(pipe, [0.05 if tail_side == "lower" else 0.95])
+
+    def test_infinite_endpoint_raises(self):
+        pipe = self.make_pipe()
+        cfg = SubsampleConfig(draws=110)
+        tails = subsample_tail_pairs(pipe, cfg, draw_stream(63))
+        assert tails.failed == 0
+        # three draws whose arm-1 index overflows at the full-sample
+        # survival: the upper end of the 95% interval interpolates
+        # between the largest finite draw and the first infinite one
+        alphas, survivals = tails.alphas.copy(), tails.survivals.copy()
+        alphas[:3, 0] = self.tiny(pipe.fit1).alpha_hat
+        survivals[:3, 0] = pipe.fit1.s_min
+        inf_tails = replace(tails, alphas=alphas, survivals=survivals)
+        assert np.isposinf(qte_draws_from_tails(pipe.fit1, pipe.fit0, inf_tails, 0.95)).sum() == 3
+        with mock.patch.object(inference, "subsample_tail_pairs", return_value=inf_tails):
+            with pytest.raises(UndefinedEstimate, match="0 of 110 draws are NaN and 3 infinite"):
+                estimate_qte_batch(pipe, [0.95], cfg, draw_stream(63))

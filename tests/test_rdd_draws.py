@@ -3,10 +3,11 @@
 The oracle below is the recipe subsample_tail_pairs used to run one draw
 at a time: subset the data, re-derive the bandwidth, the jump-ratio
 CDFs and both arm thresholds, and fit each arm's index on the proper-CDF
-view at its re-selected threshold. Tied outcomes are taken in input
-row order (a stable sort), as the library does; they move the arm
-thresholds, not just the rounding. The engine must return the same
-TailDraws bit for bit.
+view at its re-selected threshold, with the former scalar index fit
+(oracles.pareto_index). Tied outcomes are taken in input row order (a
+stable sort), as the library does; they move the arm thresholds, not
+just the rounding. The engine must return the same TailDraws bit for
+bit.
 """
 
 import math
@@ -24,7 +25,9 @@ from xqte.core import DegenerateDenominator, EstimationError, ObservationSet, St
 from xqte.inference import SubsampleConfig, UnstableSubsampling, subsample_tail_pairs
 from xqte.pipeline import EstimatorSettings, fit_pipeline
 from xqte.simulate import gen_rdd
-from xqte.tail import EmptyTail, NonPositiveSurvival, pareto_index
+from xqte.tail import EmptyTail, NonPositiveSurvival
+
+from oracles import pareto_index
 
 
 def oracle_bandwidth(r):
@@ -189,43 +192,49 @@ def test_one_draw_chunks(per_chunk):
         assert not check_engine(simulation_pipe(), SubsampleConfig(draws=100), 5)
 
 
-def force_arm_flag(fn, arm, flag):
-    """fn with its per-arm failure flag (result[flag], shaped (arms, draws))
-    set for one arm on every third draw of each chunk."""
+def spy(seen, name):
+    """inference's function name, recording each call's result in seen[name]."""
+    fn = getattr(inference, name)
 
-    def forced(*args, **kwargs):
-        out = list(fn(*args, **kwargs))
-        out[flag] = out[flag].copy()
-        out[flag][arm, ::3] = True
-        return tuple(out)
+    def spied(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        seen[name].append(out)
+        return out
 
-    return forced
+    return spied
 
 
-@pytest.mark.parametrize(
-    "name, arm, flag",
-    [("arm_threshold_rows", 0, 1), ("tail_view_rows", 1, 1)],
-    ids=["empty arm-0 window", "degenerate arm-1 view"],
+@settings(max_examples=40, deadline=None)
+@given(
+    data=rdd_samples(),
+    b_share=st.floats(0.05, 0.95),
+    chunk=st.integers(1, 3000),
+    lower=st.booleans(),
+    seed=st.integers(0, 1000),
 )
-def test_one_failed_arm_fails_the_whole_draw(name, arm, flag):
-    # a sample cannot fail one arm alone: a first-stage jump needs kernel
-    # mass from both arms' takers, and each jump-ratio CDF ends near 1,
-    # so the flag is forced on draws 0, 3, 6, ... (chunks of 30 draws)
-    pipe = simulation_pipe()
-    cfg = SubsampleConfig(draws=120, max_failure_share=0.5)
-    b = cfg.validate(pipe.data.n)
-    stream = lambda t: substream(7, t)  # noqa: E731
-    assert not check_engine(pipe, cfg, 7)
-    with mock.patch.object(inference, "CHUNK_ELEMENTS", 30 * b):
-        alphas, thresholds, failed = inference._rdd_draws(pipe, cfg, b, stream)
-        forced = force_arm_flag(getattr(inference, name), arm, flag)
-        with mock.patch.object(inference, name, forced):
-            tails = subsample_tail_pairs(pipe, cfg, stream)
-    assert not failed.any()
-    kept = np.arange(cfg.draws) % 3 != 0
-    assert tails.failed == cfg.draws - kept.sum()
-    assert np.array_equal(tails.alphas, alphas[kept])
-    assert np.array_equal(tails.thresholds, thresholds[kept])
+def test_first_stage_check_implies_no_arm_flags(data, b_share, chunk, lower, seed):
+    # a draw with a first-stage jump of at least DENOM_EPS has kernel mass
+    # from both arms' takers, and each of its jump-ratio CDFs ends near
+    # 1, so neither per-arm flag (no arm-taker mass, a view never above
+    # 0) is ever set on a draw that the first-stage check keeps
+    try:
+        pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9), "lower" if lower else "upper")
+    except EstimationError:
+        assume(False)
+    b = max(2, min(data.n - 1, round(b_share * data.n)))
+    cfg = SubsampleConfig(b=b, draws=100, max_failure_share=0.99)
+    names = ("rot_bandwidths", "side_masses", "arm_threshold_rows", "tail_view_rows")
+    seen = {name: [] for name in names}
+    spies = {name: spy(seen, name) for name in names}
+    with mock.patch.multiple(inference, CHUNK_ELEMENTS=chunk, **spies):
+        _, _, failed = inference._rdd_draws(pipe, cfg, b, lambda t: substream(seed, t))
+    h = np.concatenate(seen["rot_bandwidths"])
+    s_above, s_below, jump = (np.concatenate(parts) for parts in zip(*seen["side_masses"]))
+    ok = (h > 0.0) & (s_above > 0.0) & (s_below > 0.0) & (np.abs(jump) >= DENOM_EPS)
+    empty = np.concatenate([flags.any(axis=0) for _, flags in seen["arm_threshold_rows"]])
+    degenerate = np.concatenate([flags.any(axis=0) for _, flags in seen["tail_view_rows"]])
+    assert np.array_equal(failed, ~ok)
+    assert not (ok & (empty | degenerate)).any()
 
 
 def test_all_flat_chunks():

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from xqte.core import StepCdf, evaluate, substream
+from xqte.core import EstimationError, StepCdf, evaluate, substream
 from xqte.tail import (
     EmptyTail,
     InvalidAlpha,
@@ -15,9 +17,10 @@ from xqte.tail import (
     fit_tail,
     pareto_index,
     qte_point,
-    select_ymin,
+    tail_index_rows,
 )
 
+import oracles
 from oracles import SecondOrderSpec, pareto_index_analytic
 
 
@@ -62,20 +65,49 @@ def pareto_sample(rng, alpha, n):
     return rng.random(n) ** (-1.0 / alpha)
 
 
+def first_crossing(cdf, level):
+    """First knot where the CDF reaches level (so does its running
+    maximum), for a level the CDF reaches."""
+    return float(cdf.knots[np.argmax(cdf.values >= level)])
+
+
+def classical_quantile(sample, q):
+    """Left-continuous inverse of the empirical CDF, by linear scan."""
+    ys = sorted(sample)
+    n = len(ys)
+    for i, v in enumerate(ys, start=1):
+        if i / n >= q:
+            return v
+    raise AssertionError("level above 1 requested")
+
+
 # ------------------------------------------------------------ threshold
 
-def test_select_ymin_picks_first_crossing():
-    cdf = StepCdf(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.96, 1.0]))
-    assert select_ymin(cdf, 0.975) == 3.0
-    assert select_ymin(cdf, 0.9) == 2.0
+def test_fit_tail_threshold_is_first_crossing():
+    cdf = StepCdf(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, 0.96, 0.98, 1.0]))
+    assert fit_tail(cdf, 0.975).y_min == 3.0
+    assert fit_tail(cdf, 0.9).y_min == 2.0
     with pytest.raises(ValueError):
-        select_ymin(cdf, 1.0)
+        fit_tail(cdf, 1.0)
+    # the empirical CDF of {1, 2, 3}, at and between its steps
+    cdf = ecdf([1.0, 2.0, 3.0])
+    assert fit_tail(cdf, 0.5).y_min == 2.0
+    assert fit_tail(cdf, 0.34).y_min == 2.0
+    assert fit_tail(cdf, 1 / 3).y_min == 1.0
 
 
-def test_select_ymin_uses_rearranged_values():
-    # a dip below an earlier peak must not delay the crossing
-    cdf = StepCdf(np.array([1.0, 2.0, 3.0]), np.array([0.98, 0.6, 1.0]))
-    assert select_ymin(cdf, 0.975) == 1.0
+@given(
+    st.lists(st.integers(1, 10**6).map(float), min_size=1, max_size=50),
+    st.floats(0.01, 0.99),
+)
+@settings(max_examples=200)
+def test_fit_tail_threshold_matches_classical_sample_quantile(sample, q):
+    expected = classical_quantile(sample, q)
+    if expected == max(sample):
+        with pytest.raises(EmptyTail):
+            fit_tail(ecdf(sample), q)
+    else:
+        assert fit_tail(ecdf(sample), q).y_min == expected
 
 
 # ----------------------------------------------------------- step index
@@ -89,7 +121,6 @@ def test_pareto_index_worked_step_example():
     assert fit.alpha_hat == pytest.approx(-num / den, rel=1e-10)
     assert fit.alpha_hat == pytest.approx(0.8591, abs=2e-4)
     assert fit.s_min == 1.0
-    assert fit.t_max == 4.0
     assert fit.alpha_hat > 0
 
 
@@ -103,7 +134,7 @@ def test_pareto_index_matches_quadrature_oracle(case):
     cdf = StepCdf(knots, values)
     level = [0.5, 0.6, 0.7][case % 3]
     omega = [0.5, 1.0, 2.0][case % 3]
-    y_min = select_ymin(cdf, level)
+    y_min = first_crossing(cdf, level)
     fit = pareto_index(cdf, y_min, omega)
     assert fit.alpha_hat == pytest.approx(quad_index_oracle(cdf, y_min, omega), rel=1e-9)
 
@@ -115,21 +146,20 @@ def test_pareto_index_skips_interior_saturated_pieces():
     )
     y_min = 1.0
     fit = pareto_index(cdf, y_min, omega=1.0)
-    assert fit.t_max == 4.0
     assert fit.alpha_hat == pytest.approx(quad_index_oracle(cdf, y_min, 1.0), rel=1e-10)
 
 
 def test_pareto_index_scale_invariance():
     rng = substream(701, 99)
     cdf = ecdf(pareto_sample(rng, 2.0, 400))
-    y_min = select_ymin(cdf, 0.9)
+    y_min = first_crossing(cdf, 0.9)
     base = pareto_index(cdf, y_min, omega=1.0)
     for lam in (0.01, 3.0, 1e4):
         scaled = pareto_index(
             StepCdf(cdf.knots * lam, cdf.values), y_min * lam, omega=1.0
         )
         assert scaled.alpha_hat == pytest.approx(base.alpha_hat, rel=1e-12)
-        assert scaled.t_max == pytest.approx(base.t_max * lam, rel=1e-12)
+        assert scaled.s_min == base.s_min
 
 
 def test_pareto_index_errors():
@@ -163,6 +193,77 @@ def test_pareto_index_negative_alpha_flagged_not_raised():
         qte_point(fit, fit, 0.9999)
     with pytest.raises(InvalidAlpha):
         extrapolated_quantiles(fit, 0.9999, [fit.alpha_hat])
+
+
+@st.composite
+def step_cdfs_and_thresholds(draw):
+    """A raw step CDF (non-monotone, above 1 or ending below 1) and a
+    threshold on a knot, between two, an ulp below one, or anywhere."""
+    m = draw(st.integers(1, 25))
+    gaps = draw(st.lists(st.floats(1e-3, 3.0), min_size=m, max_size=m))
+    knots = draw(st.floats(-3.0, 5.0)) + np.cumsum(gaps)
+    shape = draw(st.sampled_from(["raw", "monotone", "view"]))
+    values = np.array(draw(st.lists(st.floats(-0.3, 1.4), min_size=m, max_size=m)))
+    if shape != "raw":
+        values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
+        if shape == "view" and values[-1] > 0.0:
+            values = values / values[-1]
+    i = draw(st.integers(0, m - 1))
+    where = draw(st.sampled_from(["on", "between", "below", "anywhere"]))
+    if where == "on":
+        y_min = knots[i]
+    elif where == "between":
+        y_min = 0.5 * (knots[i] + (knots[i + 1] if i + 1 < m else knots[i] + 1.0))
+    elif where == "below":
+        y_min = np.nextafter(knots[i], -np.inf)
+    else:
+        y_min = draw(st.floats(knots[0] - 1.0, knots[-1] + 1.0))
+    # a threshold next to 0 overflows the knot ratios, in either fit
+    assume(not 0.0 < y_min < 1e-6)
+    return StepCdf(knots, values), float(y_min)
+
+
+def fit_or_error(fit, cdf, y_min, omega):
+    try:
+        return fit(cdf, y_min, omega)
+    except (ValueError, EstimationError) as err:
+        return type(err)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(case=step_cdfs_and_thresholds(), omega=st.sampled_from([0.5, 1.0, 2.0, 3.7]))
+def test_pareto_index_matches_scalar_oracle_bit_for_bit(case, omega):
+    # the one-row case of tail_index_rows against the former scalar fit
+    cdf, y_min = case
+    got = fit_or_error(pareto_index, cdf, y_min, omega)
+    want = fit_or_error(oracles.pareto_index, cdf, y_min, omega)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        fields = ("y_min", "omega", "alpha_hat", "c_hat", "s_min", "shift")
+        assert [float(getattr(got, f)).hex() for f in fields] == [
+            float(getattr(want, f)).hex() for f in fields
+        ]
+
+
+def test_tail_index_rows_fits_rows_of_any_length():
+    # three CDFs as the rows of one matrix, padded with inf knots; the
+    # last has nothing to fit beyond its threshold
+    cdfs = [
+        StepCdf(np.array([2.0, 4.0]), np.array([0.75, 1.0])),
+        StepCdf(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, 1.2, 0.75, 0.9])),
+        StepCdf(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.9, 1.0])),
+    ]
+    y_min = np.array([1.0, 1.0, 3.0])
+    at_knot = np.arange(4) < np.array([[2], [4], [3]])
+    knots, values = np.full((3, 4), np.inf), np.ones((3, 4))
+    knots[at_knot] = np.concatenate([c.knots for c in cdfs])
+    values[at_knot] = np.concatenate([c.values for c in cdfs])
+    alpha, s_min = tail_index_rows(knots, values, at_knot, y_min, 1.0)
+    for row in range(2):
+        fit = pareto_index(cdfs[row], y_min[row])
+        assert (alpha[row], s_min[row]) == (fit.alpha_hat, fit.s_min)
+    assert np.isnan(alpha[2]) and s_min[2] == pytest.approx(0.1)
 
 
 # ------------------------------------------------------- analytic index
@@ -213,7 +314,6 @@ def _fit(y_min, alpha, s_min, shift=0.0, omega=1.0):
         alpha_hat=alpha,
         c_hat=s_min * y_min**alpha,
         s_min=s_min,
-        t_max=np.inf,
         shift=shift,
     )
 
@@ -285,14 +385,14 @@ def test_fit_tail_positive_threshold_no_shift():
     cdf = ecdf(pareto_sample(rng, 2.0, 1000))
     fit = fit_tail(cdf, level=0.9, omega=1.0)
     assert fit.shift == 0.0
-    assert fit.y_min == select_ymin(cdf, 0.9)
+    assert fit.y_min == first_crossing(cdf, 0.9)
 
 
 def test_fit_tail_shift_protocol_on_nonpositive_threshold():
     rng = substream(702, 1)
     y = pareto_sample(rng, 2.0, 1000) - 50.0  # threshold lands negative
     cdf = ecdf(y)
-    y_min = select_ymin(cdf, 0.9)
+    y_min = first_crossing(cdf, 0.9)
     assert y_min <= 0
     fit = fit_tail(cdf, level=0.9, omega=1.0)
     assert fit.shift == pytest.approx(1.0 - y_min)
