@@ -192,6 +192,46 @@ def test_one_draw_chunks(per_chunk):
         assert not check_engine(simulation_pipe(), SubsampleConfig(draws=100), 5)
 
 
+def force_one_arm_out(taken_value):
+    """inference's side_masses with every unit of every third draw of each
+    chunk marked as taken_value: True leaves no arm-0 taker (an untreated
+    unit) in the draw, False no arm-1 taker."""
+    fn = inference.side_masses
+
+    def forced(w, above, below, taken):
+        taken = taken.copy()
+        taken[::3] = taken_value
+        return fn(w, above, below, taken)
+
+    return forced
+
+
+@pytest.mark.parametrize(
+    "taken_value",
+    [True, False],
+    ids=["empty arm-0 window", "degenerate arm-1 view"],
+)
+def test_one_failed_arm_fails_the_whole_draw(taken_value):
+    # a draw with no takers of one arm has a first-stage jump of exactly
+    # 0 (its arm-1 view is then 0 throughout), so the first-stage check
+    # drops both of its arms together; forced on draws 0, 3, 6, ...
+    # (chunks of 30 draws)
+    pipe = simulation_pipe()
+    cfg = SubsampleConfig(draws=120, max_failure_share=0.5)
+    b = cfg.validate(pipe.data.n)
+    stream = lambda t: substream(7, t)  # noqa: E731
+    assert not check_engine(pipe, cfg, 7)
+    with mock.patch.object(inference, "CHUNK_ELEMENTS", 30 * b):
+        alphas, thresholds, failed = inference._rdd_draws(pipe, cfg, b, stream)
+        with mock.patch.object(inference, "side_masses", force_one_arm_out(taken_value)):
+            tails = subsample_tail_pairs(pipe, cfg, stream)
+    assert not failed.any()
+    kept = np.arange(cfg.draws) % 3 != 0
+    assert tails.failed == cfg.draws - kept.sum()
+    assert np.array_equal(tails.alphas, alphas[kept])
+    assert np.array_equal(tails.thresholds, thresholds[kept])
+
+
 def spy(seen, name):
     """inference's function name, recording each call's result in seen[name]."""
     fn = getattr(inference, name)
