@@ -213,7 +213,9 @@ def tail_view_rows(
         view = np.where(at_knot, values, -np.inf)
     np.maximum.accumulate(view, axis=-1, out=view)
     top = view[..., -1:].copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # below a subnormal peak a negative value overflows to -inf, which
+    # the clip takes to 0 like any other negative value
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         view /= top
     np.clip(view, 0.0, 1.0, out=view)
     return view, ~(top[..., 0] > 0.0)

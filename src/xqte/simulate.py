@@ -14,12 +14,13 @@ negated scale: the complier effect of +1 appears as -1.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import EstimationError, ObservationSet, flip_outcomes, substream
-from .inference import SubsampleConfig, estimate_qte_batch
+from .inference import QteResult, SubsampleConfig, estimate_qte_batch
 from .pipeline import EstimatorSettings, fit_pipeline
 
 IV_GAMMA = np.full(10, 0.1)
@@ -162,43 +163,85 @@ def summarize_cell(estimates: np.ndarray, truth: float) -> tuple[float, float, f
     return bias, sd, float(np.hypot(bias, sd))
 
 
-def run_mc(config: McConfig) -> McReport:
-    """Run the Monte Carlo. Replication rep of sample size n_list[i]
-    draws its data from substream (seed, i, rep, 0) and its subsample
-    indices from (seed, i, rep, 1, t), so any subset of cells can be
-    reproduced in isolation.
-
-    A replication that raises an estimation error anywhere is dropped
-    from every cell of its sample size and counted in n_failed.
-    """
+def _replicate(config: McConfig, n_idx: int, rep: int) -> list[QteResult] | None:
+    """Replication rep of sample size n_list[n_idx]: its data come from
+    substream (seed, n_idx, rep, 0) and its subsample indices from
+    (seed, n_idx, rep, 1, t), so the result does not depend on which
+    process runs it or what ran before. Returns one QteResult per level
+    of q_list, or None when the estimation raised an EstimationError."""
     gen = gen_iv if config.design == "iv" else gen_rdd
-    truth = true_qte(config.design)
-    truth_alt = TRUE_QTE_RDD_ALT if config.design == "rdd" else None
+    draw = gen(substream(config.seed, n_idx, rep, 0), config.n_list[n_idx])
     # outcomes are negated up front and the pipeline runs plain
     # upper-tail, so estimates come back on the negated scale the truths
     # use and a lower-tail target q maps to the upper level 1 - q
-    upper_levels = [1.0 - q for q in config.q_list]
+    try:
+        pipe = fit_pipeline(flip_outcomes(draw.data), config.settings, tail_side="upper")
+        return estimate_qte_batch(
+            pipe,
+            [1.0 - q for q in config.q_list],
+            config.subsample,
+            lambda t: substream(config.seed, n_idx, rep, 1, t),
+        )
+    except EstimationError:
+        return None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _replicate_all(config: McConfig, workers: int | None) -> list[list[QteResult] | None]:
+    """_replicate for every (n_idx, rep), replications of one sample size
+    in a row. With more than one worker and fork available they run in
+    contiguous chunks on a pool of forked processes, which is shut down
+    and joined before this returns or raises."""
+    import multiprocessing
+
+    tasks = [(config, n_idx, rep)
+             for n_idx in range(len(config.n_list)) for rep in range(config.reps)]
+    workers = min(workers or _usable_cpus(), len(tasks))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_replicate(*task) for task in tasks]
+    if config.design == "iv":
+        # the instrument's logistic link; imported once here rather than
+        # once in every worker
+        import scipy.special  # noqa: F401
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        # an error in a worker is re-raised here, and leaving the block
+        # then terminates and joins the pool
+        out = pool.starmap(_replicate, tasks, chunksize=-(-len(tasks) // workers))
+        pool.close()
+        pool.join()
+    return out
+
+
+def run_mc(config: McConfig, workers: int | None = None) -> McReport:
+    """Run the Monte Carlo, one _replicate call per (sample size,
+    replication) on up to workers processes (default: one per usable
+    CPU). Every replication draws from its own substreams, so the report
+    is the same for any worker count and any subset of cells can be
+    reproduced in isolation.
+
+    A replication that raises an estimation error anywhere is dropped
+    from every cell of its sample size and counted in n_failed. Any
+    other exception propagates.
+    """
+    truth = true_qte(config.design)
+    truth_alt = TRUE_QTE_RDD_ALT if config.design == "rdd" else None
+    replications = iter(_replicate_all(config, workers))
 
     cells = []
-    for n_idx, n in enumerate(config.n_list):
+    for n in config.n_list:
         ests = {q: [] for q in config.q_list}
         cover = {q: [] for q in config.q_list}
         cover_alt = {q: [] for q in config.q_list}
         failed = 0
-        for rep in range(config.reps):
-            rng = substream(config.seed, n_idx, rep, 0)
-            draw = gen(rng, n)
-            try:
-                pipe = fit_pipeline(
-                    flip_outcomes(draw.data), config.settings, tail_side="upper"
-                )
-                results = estimate_qte_batch(
-                    pipe,
-                    upper_levels,
-                    config.subsample,
-                    lambda t, n_idx=n_idx, rep=rep: substream(config.seed, n_idx, rep, 1, t),
-                )
-            except EstimationError:
+        for _ in range(config.reps):
+            results = next(replications)
+            if results is None:
                 failed += 1
                 continue
             for q, res in zip(config.q_list, results):

@@ -45,6 +45,11 @@ class InvalidAlpha(EstimationError):
     """Non-positive tail index cannot be inverted into a quantile."""
 
 
+class ShiftMergesKnots(EstimationError):
+    """The positivity shift rounds distinct knots onto the same value, so
+    the shifted CDF is no longer a step function of its knots."""
+
+
 @dataclass(frozen=True)
 class TailFit:
     """Fitted Pareto tail. s_min is survival at the threshold.
@@ -195,7 +200,8 @@ def fit_tail(view: StepCdf, level: float = 0.975, omega: float = 1.0) -> TailFit
     is at or below zero all knots are shifted up until the threshold
     sits at 1.0, the fit runs there, and the shift is recorded on the
     TailFit so quantiles map back. Treatment-effect differences are
-    unaffected by the shift.
+    unaffected by the shift. A shift so large that it rounds two knots
+    onto one value raises ShiftMergesKnots.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
@@ -203,7 +209,13 @@ def fit_tail(view: StepCdf, level: float = 0.975, omega: float = 1.0) -> TailFit
     y_min = float(view.knots[np.searchsorted(view.values, level)])
     if y_min <= 0.0:
         delta = 1.0 - y_min
-        fit = pareto_index(view.shifted(delta), y_min + delta, omega)
+        knots = view.knots + delta
+        if not np.all(np.diff(knots) > 0.0):
+            raise ShiftMergesKnots(
+                f"shifting the outcomes by {delta:.6g} to make the threshold positive "
+                "merges adjacent knots"
+            )
+        fit = pareto_index(StepCdf(knots, view.values), y_min + delta, omega)
         return replace(fit, shift=delta)
     return pareto_index(view, y_min, omega)
 

@@ -173,6 +173,15 @@ def test_cli_import_leaves_out_numerical_integration():
     assert run_python(code) == 0
 
 
+def test_cli_start_leaves_out_multiprocessing():
+    # only a Monte Carlo run starts worker processes; importing the CLI
+    # or asking a command for its help must not pay for the import
+    for code in ("import sys, xqte.cli; sys.exit('multiprocessing' in sys.modules)",
+                 "import sys; from xqte.cli import main; main(['simulate', '--help']); "
+                 "sys.exit('multiprocessing' in sys.modules)"):
+        assert run_python(code) == 0
+
+
 def test_discontinuity_estimate_leaves_out_special_functions(tmp_path):
     src = tmp_path / "toy.csv"
     write_rdd_toy(src)

@@ -1,4 +1,6 @@
-from dataclasses import replace
+import multiprocessing
+import os
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -6,11 +8,13 @@ import pytest
 from scipy import stats
 
 from xqte.core import substream
+from xqte.inference import SubsampleConfig
 from xqte.pipeline import fit_pipeline
 from xqte.simulate import (
     TRUE_QTE_IV,
     TRUE_QTE_RDD,
     TRUE_QTE_RDD_ALT,
+    McCell,
     McConfig,
     _censor,
     format_report,
@@ -202,6 +206,55 @@ class TestRunMc:
         rep = run_mc(cfg)
         assert rep.truth == TRUE_QTE_IV
         assert rep.truth_alt is None
+
+
+def cell_fields(report):
+    # repr is exact for floats and tells NaN, -0.0 and None apart
+    return [
+        [repr(getattr(c, f.name)) for f in fields(McCell) if f.name != "estimates"]
+        for c in report.cells
+    ]
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cfg", [
+        McConfig(design="iv", n_list=(600, 1000), q_list=(0.02, 0.025), reps=3, seed=4,
+                 subsample=SubsampleConfig(draws=100)),
+        McConfig(design="rdd", n_list=(600, 1000), q_list=(0.02, 0.025), reps=3, seed=4,
+                 subsample=SubsampleConfig(draws=100)),
+        # every replication fails: n_failed is counted from the workers
+        McConfig(design="iv", n_list=(300,), q_list=(0.2,), reps=2, seed=7, subsample=None),
+    ], ids=["iv", "rdd", "iv-failing"])
+    def test_worker_count_leaves_the_report_unchanged(self, cfg):
+        one = run_mc(cfg, workers=1)
+        two = run_mc(cfg, workers=2)
+        assert not multiprocessing.active_children()
+        for a, b in zip(one.cells, two.cells, strict=True):
+            assert a.estimates.tobytes() == b.estimates.tobytes()
+        assert cell_fields(one) == cell_fields(two)
+        assert format_report(one) == format_report(two)
+        assert (one.truth, one.truth_alt) == (two.truth, two.truth_alt)
+        if cfg.q_list == (0.2,):
+            assert [(c.n_used, c.n_failed) for c in two.cells] == [(0, 2)]
+        else:
+            assert sum(c.n_used for c in two.cells) > 0
+
+    def test_other_errors_reach_the_caller_from_a_worker(self):
+        cfg = McConfig(design="iv", n_list=(600,), q_list=(0.025,), reps=2, seed=8,
+                       subsample=None)
+        # the flipped outcomes replication 1 fits
+        target = -gen_iv(substream(8, 0, 1, 0), 600).data.y
+
+        def failing_fit(data, *args, **kwargs):
+            if np.array_equal(data.y, target):
+                raise ValueError(os.getpid())
+            return fit_pipeline(data, *args, **kwargs)
+
+        with mock.patch("xqte.simulate.fit_pipeline", failing_fit):
+            with pytest.raises(ValueError) as raised:
+                run_mc(cfg, workers=2)
+        assert raised.value.args[0] != os.getpid()  # raised in a worker
+        assert not multiprocessing.active_children()
 
 
 class TestFormatting:

@@ -12,6 +12,7 @@ from xqte.tail import (
     InvalidAlpha,
     NonPositiveSurvival,
     NotBeyondThreshold,
+    ShiftMergesKnots,
     TailFit,
     extrapolated_quantiles,
     fit_tail,
@@ -402,6 +403,16 @@ def test_fit_tail_shift_protocol_on_nonpositive_threshold():
     q_orig = quantile(fit, 0.999)
     q_shifted_scale = fit.y_min * (fit.s_min / 0.001) ** (1.0 / fit.alpha_hat)
     assert q_orig == pytest.approx(q_shifted_scale - fit.shift)
+
+
+def test_fit_tail_shift_that_merges_knots_is_an_estimation_error():
+    # the shift 1 - (-1e20) rounds to 1e20, which maps both small knots
+    # onto 1e20; a bare ValueError from StepCdf would escape the CLI's
+    # exit codes
+    cdf = StepCdf(np.array([-1e20, 1e-10, 2e-10]), np.array([0.98, 0.99, 1.0]))
+    with pytest.raises(ShiftMergesKnots):
+        fit_tail(cdf, level=0.975)
+    assert issubclass(ShiftMergesKnots, EstimationError)
 
 
 def test_fit_tail_median_alpha_orders_with_truth():
