@@ -193,37 +193,48 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _replicate_all(config: McConfig, workers: int | None) -> list[list[QteResult] | None]:
-    """_replicate for every (n_idx, rep), replications of one sample size
-    in a row. With more than one worker and fork available they run in
-    contiguous chunks on a pool of forked processes, which is shut down
-    and joined before this returns or raises."""
+def _wrapped_from_outside() -> bool:
+    """Whether a function a replication calls has been wrapped with
+    functools.wraps at run time, as tracers and profilers do. What they
+    record stays in the memory of the process that makes the call, so a
+    forked worker's calls would be lost to them."""
+    return any(hasattr(fn, "__wrapped__") for fn in (
+        gen_iv, gen_rdd, flip_outcomes, fit_pipeline, estimate_qte_batch, substream))
+
+
+def _replicate_all(config: McConfig) -> list[list[QteResult] | None]:
+    """_replicate for every (n_idx, rep), in that order. They run on a
+    pool of forked processes, one per usable CPU and at most one per
+    task, which is shut down and joined before this returns or raises.
+    With one worker, without fork, or with a wrapped function (see
+    _wrapped_from_outside) they run one after another in this process."""
     import multiprocessing
 
     tasks = [(config, n_idx, rep)
              for n_idx in range(len(config.n_list)) for rep in range(config.reps)]
-    workers = min(workers or _usable_cpus(), len(tasks))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    workers = min(_usable_cpus(), len(tasks))
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or _wrapped_from_outside()):
         return [_replicate(*task) for task in tasks]
     if config.design == "iv":
         # the instrument's logistic link; imported once here rather than
         # once in every worker
         import scipy.special  # noqa: F401
     with multiprocessing.get_context("fork").Pool(workers) as pool:
-        # an error in a worker is re-raised here, and leaving the block
-        # then terminates and joins the pool
-        out = pool.starmap(_replicate, tasks, chunksize=-(-len(tasks) // workers))
+        # starmap returns results in task order; an error in a worker is
+        # re-raised here, and leaving the block then terminates and
+        # joins the pool
+        out = pool.starmap(_replicate, tasks)
         pool.close()
         pool.join()
     return out
 
 
-def run_mc(config: McConfig, workers: int | None = None) -> McReport:
+def run_mc(config: McConfig) -> McReport:
     """Run the Monte Carlo, one _replicate call per (sample size,
-    replication) on up to workers processes (default: one per usable
-    CPU). Every replication draws from its own substreams, so the report
-    is the same for any worker count and any subset of cells can be
-    reproduced in isolation.
+    replication), on forked workers where available. Every replication
+    draws from its own substreams, so the report is the same for any
+    worker count and any subset of cells can be reproduced in isolation.
 
     A replication that raises an estimation error anywhere is dropped
     from every cell of its sample size and counted in n_failed. Any
@@ -231,7 +242,7 @@ def run_mc(config: McConfig, workers: int | None = None) -> McReport:
     """
     truth = true_qte(config.design)
     truth_alt = TRUE_QTE_RDD_ALT if config.design == "rdd" else None
-    replications = iter(_replicate_all(config, workers))
+    replications = iter(_replicate_all(config))
 
     cells = []
     for n in config.n_list:

@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 from dataclasses import fields, replace
@@ -216,6 +217,11 @@ def cell_fields(report):
     ]
 
 
+def run_on(cfg, cpus):
+    with mock.patch("xqte.simulate._usable_cpus", return_value=cpus):
+        return run_mc(cfg)
+
+
 class TestWorkers:
     @pytest.mark.parametrize("cfg", [
         McConfig(design="iv", n_list=(600, 1000), q_list=(0.02, 0.025), reps=3, seed=4,
@@ -226,8 +232,8 @@ class TestWorkers:
         McConfig(design="iv", n_list=(300,), q_list=(0.2,), reps=2, seed=7, subsample=None),
     ], ids=["iv", "rdd", "iv-failing"])
     def test_worker_count_leaves_the_report_unchanged(self, cfg):
-        one = run_mc(cfg, workers=1)
-        two = run_mc(cfg, workers=2)
+        one = run_on(cfg, 1)
+        two = run_on(cfg, 2)
         assert not multiprocessing.active_children()
         for a, b in zip(one.cells, two.cells, strict=True):
             assert a.estimates.tobytes() == b.estimates.tobytes()
@@ -252,9 +258,26 @@ class TestWorkers:
 
         with mock.patch("xqte.simulate.fit_pipeline", failing_fit):
             with pytest.raises(ValueError) as raised:
-                run_mc(cfg, workers=2)
+                run_on(cfg, 2)
         assert raised.value.args[0] != os.getpid()  # raised in a worker
         assert not multiprocessing.active_children()
+
+    def test_wrapped_function_sees_every_replication(self):
+        # a tracer's wrapper records in the process that calls it, so the
+        # replications stay in this one
+        cfg = McConfig(design="rdd", n_list=(600,), q_list=(0.025,), reps=3, seed=9,
+                       subsample=None)
+        pids = []
+
+        @functools.wraps(gen_rdd)
+        def traced(*args, **kwargs):
+            pids.append(os.getpid())
+            return gen_rdd(*args, **kwargs)
+
+        with mock.patch("xqte.simulate.gen_rdd", traced):
+            report = run_on(cfg, 2)
+        assert pids == [os.getpid()] * 3
+        assert format_report(report) == format_report(run_on(cfg, 1))
 
 
 class TestFormatting:
