@@ -1,5 +1,6 @@
 """Shared data model: observation sets, step-function CDFs, their
-proper-CDF views, outcome flipping, and reproducible RNG substreams.
+proper-CDF views, outcome flipping, reproducible RNG substreams, and
+the fork pool that runs independent tasks on worker processes.
 
 Counterfactual CDF estimators in this package return raw step functions
 that need not be monotone or stay inside [0, 1]. Tail fits read them
@@ -9,8 +10,11 @@ exactly 1, so threshold lookups on it are always well defined.
 
 from __future__ import annotations
 
+import os
+import sys
+import types
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -95,8 +99,11 @@ class ObservationSet:
         return self.y.size
 
     def subset(self, idx: np.ndarray) -> "ObservationSet":
-        """Row subset (used by subsampling); validation re-runs, it is cheap."""
-        return ObservationSet(
+        """Row subset (used by subsampling). Rows of a validated set are
+        valid and their dtypes already normalised, so validation does not
+        re-run."""
+        out = object.__new__(ObservationSet)
+        out.__dict__.update(
             design=self.design,
             y=self.y[idx],
             d=self.d[idx],
@@ -104,6 +111,7 @@ class ObservationSet:
             x=None if self.x is None else self.x[idx],
             r=None if self.r is None else self.r[idx],
         )
+        return out
 
 
 def flip_outcomes(data: ObservationSet) -> ObservationSet:
@@ -229,3 +237,83 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     simulation output independent of worker count.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _wrapped_from_outside() -> bool:
+    """Whether a function of this package has been wrapped with
+    functools.wraps at run time, as tracers and profilers do. What they
+    record stays in the memory of the process that makes the call, so a
+    forked worker's calls would be lost to them."""
+    package = __name__.partition(".")[0]
+    functions = [ObservationSet.subset, StepCdf.__post_init__]
+    for name, module in list(sys.modules.items()):
+        if name == package or name.startswith(package + "."):
+            functions += [v for v in vars(module).values() if isinstance(v, types.FunctionType)]
+    return any(hasattr(fn, "__wrapped__") for fn in functions)
+
+
+def fork_workers(tasks: int) -> int:
+    """The number of forked workers fork_map runs a list of tasks
+    tasks on: one per usable CPU (the CPUs this process may run on), at
+    most one per task. It is 1, for a run in this process, without the
+    fork start method, inside a pool worker (a daemon process, which may
+    not fork), while another Python thread is alive (a forked child
+    inherits whatever locks that thread holds and can deadlock on them),
+    and when a function has been wrapped (see _wrapped_from_outside)."""
+    workers = min(_usable_cpus(), tasks)
+    if workers < 2:
+        return 1
+    import multiprocessing
+    import threading
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1
+            or _wrapped_from_outside()):
+        return 1
+    return workers
+
+
+# a fork_map worker's function and task list, set by the pool's
+# initializer in the worker only; under fork the initializer's arguments
+# are inherited with the process, so neither is pickled
+_fork_job: tuple[Callable, Sequence[tuple]] | None = None
+
+
+def _install_job(job: tuple[Callable, Sequence[tuple]]) -> None:
+    global _fork_job
+    _fork_job = job
+
+
+def _run_task(i: int):
+    fn, tasks = _fork_job
+    return fn(*tasks[i])
+
+
+def fork_map(fn: Callable, tasks: Sequence[tuple]) -> list:
+    """[fn(*task) for task in tasks], in task order, on a pool of
+    fork_workers(len(tasks)) forked processes, which is shut down and
+    joined before this returns or raises. fn and the tasks reach the
+    workers by fork inheritance, so closures and large arrays need no
+    pickling; only task numbers go out and results come back. With one
+    worker everything runs in this process. An exception in a worker is
+    re-raised here."""
+    workers = fork_workers(len(tasks))
+    if workers < 2:
+        return [fn(*task) for task in tasks]
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    with context.Pool(workers, initializer=_install_job, initargs=((fn, tasks),)) as pool:
+        # leaving the block after an error terminates and joins the pool
+        out = pool.map(_run_task, range(len(tasks)))
+        pool.close()
+        pool.join()
+    return out

@@ -11,14 +11,19 @@ whose thresholds are local order statistics, re-selects them on each
 subset so the draws carry the threshold noise as well.
 
 Draw streams come from a caller-supplied rng_for_draw(t) so results do
-not depend on worker count or draw order.
+not depend on worker count or draw order. The draws run on forked
+workers (core.fork_map), one per usable CPU, each on one contiguous
+block of the draw numbers; the fitted pipeline and rng_for_draw reach
+them by fork inheritance, and their rows are concatenated in draw
+order. Every row is fitted independently of the rows computed with it,
+so the draws are the same bit for bit at any worker count.
 
 Every draw's tail indices come from tail.tail_index_rows, the one
 implementation of the closed-form index, with each arm of a draw as a
 row. The frozen-threshold designs refit their CDFs one draw at a time
 (the kappa weights or empirical CDFs of the subset), keep only the
-tail of each proper-CDF view and fit the tails of a batch of draws
-together.
+tail of each proper-CDF view (tail_view_rows on the raw values) and fit
+the tails of a batch of draws together.
 
 Discontinuity draws are computed in chunks rather than one at a time.
 The full sample is ranked by outcome once (stably, so tied outcomes
@@ -51,7 +56,7 @@ from .cdf_rdd import (
     rot_bandwidths,
     side_masses,
 )
-from .core import EstimationError, tail_view, tail_view_rows
+from .core import EstimationError, fork_map, fork_workers, tail_view_rows
 from .pipeline import FittedPipeline, subset_cdfs
 from .tail import TailFit, extrapolated_quantiles, qte_point, tail_index_rows
 
@@ -142,13 +147,23 @@ def subsample_tail_pairs(
     not a permutation.
     """
     b = cfg.validate(pipeline.data.n)
-    if pipeline.data.design == "rdd":
-        alphas, thresholds, failed_draws = _rdd_draws(pipeline, cfg, b, rng_for_draw)
+    rdd = pipeline.data.design == "rdd"
+    # one contiguous block of draw numbers per worker, concatenated in
+    # draw order; a draw's row does not depend on the rows fitted with it
+    workers = fork_workers(cfg.draws)
+    bounds = [cfg.draws * k // workers for k in range(workers + 1)]
+    parts = fork_map(_rdd_draws if rdd else _frozen_draws, [
+        (pipeline, cfg, b, rng_for_draw, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
+    ])
+    if rdd:
+        alphas, thresholds, failed_draws = map(np.concatenate, zip(*parts))
         alphas, thresholds = alphas[~failed_draws], thresholds[~failed_draws]
         survivals = np.tile([pipeline.fit1.s_min, pipeline.fit0.s_min], (len(alphas), 1))
         failed = int(failed_draws.sum())
     else:
-        alphas, survivals, thresholds, failed = _frozen_draws(pipeline, cfg, b, rng_for_draw)
+        alphas, survivals, thresholds, failed = zip(*parts)
+        alphas, survivals, thresholds = map(np.concatenate, (alphas, survivals, thresholds))
+        failed = sum(failed)
     if failed > cfg.max_failure_share * cfg.draws:
         raise UnstableSubsampling(
             f"{failed} of {cfg.draws} subsample draws failed; "
@@ -157,8 +172,9 @@ def subsample_tail_pairs(
     return TailDraws(alphas=alphas, survivals=survivals, thresholds=thresholds, failed=failed)
 
 
-def _frozen_draws(pipeline, cfg, b, rng_for_draw):
-    """Draws at the frozen full-sample thresholds.
+def _frozen_draws(pipeline, cfg, b, rng_for_draw, draws=None):
+    """Draws at the frozen full-sample thresholds, for the draw numbers
+    in draws (all of them when omitted).
 
     Each draw refits its two CDFs on its subset and takes their
     proper-CDF views, one draw at a time; only the tail of each view,
@@ -166,9 +182,12 @@ def _frozen_draws(pipeline, cfg, b, rng_for_draw):
     the draw's full arrays can go. Whenever the kept tails hold
     CHUNK_ELEMENTS // 4 entries, they are fitted together by
     _frozen_tails, two rows per draw. A draw fails when its refit raises
-    an EstimationError or either index comes out negative.
+    an EstimationError, either view is degenerate (never above 0, where
+    core.tail_view raises DegenerateDenominator) or either index comes
+    out negative.
     """
     n = pipeline.data.n
+    draws = range(cfg.draws) if draws is None else draws
     fits = (pipeline.fit1, pipeline.fit0)
     y_min = np.array([fit.y_min for fit in fits])
     alphas, survivals, tails = [], [], []
@@ -182,18 +201,22 @@ def _frozen_draws(pipeline, cfg, b, rng_for_draw):
             survivals.append(survival.reshape(-1, 2))
             tails.clear()
 
-    for t in range(cfg.draws):
+    for t in draws:
         idx = np.sort(rng_for_draw(t).choice(n, size=b, replace=False))
         try:
-            views = [tail_view(cdf) for cdf in subset_cdfs(pipeline, idx)]
+            cdfs = subset_cdfs(pipeline, idx)
         except EstimationError:
             failed += 1
             continue
-        for view, fit in zip(views, fits):
+        views = [tail_view_rows(cdf.values) for cdf in cdfs]
+        if any(degenerate for _, degenerate in views):
+            failed += 1
+            continue
+        for cdf, (values, _), fit in zip(cdfs, views, fits):
             # the full fit's shift puts the view on its positive scale
-            knots = view.knots + fit.shift if fit.shift != 0.0 else view.knots
+            knots = cdf.knots + fit.shift if fit.shift != 0.0 else cdf.knots
             start = max(int(np.searchsorted(knots, fit.y_min)) - 1, 0)
-            tails.append((knots[start:].copy(), view.values[start:].copy()))
+            tails.append((knots[start:].copy(), values[start:].copy()))
             pending += knots.size - start
         if pending >= CHUNK_ELEMENTS // 4:
             flush()
@@ -230,8 +253,9 @@ def _frozen_tails(tails, y_min, omega):
     return np.where(empty | (alpha == 0.0), np.inf, alpha), np.where(empty, 0.0, s_min)
 
 
-def _rdd_draws(pipeline, cfg, b, rng_for_draw):
-    """Discontinuity draws, a chunk of draws at a time.
+def _rdd_draws(pipeline, cfg, b, rng_for_draw, draws=None):
+    """Discontinuity draws for the draw numbers in draws (all of them
+    when omitted), a chunk of draws at a time.
 
     Each draw repeats the full-sample recipe on its subset: its own
     rule-of-thumb bandwidth, jump-ratio CDFs and kernel-weighted arm
@@ -241,7 +265,7 @@ def _rdd_draws(pipeline, cfg, b, rng_for_draw):
     index inf, as in the full-sample fallback; the draw's threshold
     survival stays pinned at the nominal level.
 
-    Returns (alphas, thresholds, failed) for every draw: (draws, 2)
+    Returns (alphas, thresholds, failed) for each draw: (draws, 2)
     arrays with arm 1 in column 0, and a mask of the draws whose refit
     would raise an EstimationError.
     """
@@ -315,14 +339,15 @@ def _rdd_draws(pipeline, cfg, b, rng_for_draw):
         alpha = np.where(alpha > 0.0, alpha, np.inf)
         return alpha.reshape(2, -1).T, th.T, ~ok
 
-    alphas = np.empty((cfg.draws, 2))
-    thresholds = np.empty((cfg.draws, 2))
-    failed = np.empty(cfg.draws, dtype=bool)
+    draws = range(cfg.draws) if draws is None else draws
+    alphas = np.empty((len(draws), 2))
+    thresholds = np.empty((len(draws), 2))
+    failed = np.empty(len(draws), dtype=bool)
     step = max(1, CHUNK_ELEMENTS // b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, cfg.draws, step):
-            chunk = slice(start, min(start + step, cfg.draws))
-            alphas[chunk], thresholds[chunk], failed[chunk] = refit(range(start, chunk.stop))
+        for start in range(0, len(draws), step):
+            chunk = slice(start, min(start + step, len(draws)))
+            alphas[chunk], thresholds[chunk], failed[chunk] = refit(draws[chunk])
     return alphas, thresholds, failed
 
 

@@ -14,12 +14,11 @@ negated scale: the complier effect of +1 appears as -1.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EstimationError, ObservationSet, flip_outcomes, substream
+from .core import EstimationError, ObservationSet, flip_outcomes, fork_map, substream
 from .inference import QteResult, SubsampleConfig, estimate_qte_batch
 from .pipeline import EstimatorSettings, fit_pipeline
 
@@ -186,48 +185,16 @@ def _replicate(config: McConfig, n_idx: int, rep: int) -> list[QteResult] | None
         return None
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _wrapped_from_outside() -> bool:
-    """Whether a function a replication calls has been wrapped with
-    functools.wraps at run time, as tracers and profilers do. What they
-    record stays in the memory of the process that makes the call, so a
-    forked worker's calls would be lost to them."""
-    return any(hasattr(fn, "__wrapped__") for fn in (
-        gen_iv, gen_rdd, flip_outcomes, fit_pipeline, estimate_qte_batch, substream))
-
-
 def _replicate_all(config: McConfig) -> list[list[QteResult] | None]:
-    """_replicate for every (n_idx, rep), in that order. They run on a
-    pool of forked processes, one per usable CPU and at most one per
-    task, which is shut down and joined before this returns or raises.
-    With one worker, without fork, or with a wrapped function (see
-    _wrapped_from_outside) they run one after another in this process."""
-    import multiprocessing
-
+    """_replicate for every (n_idx, rep), in that order, on forked
+    workers where core.fork_map can use them."""
     tasks = [(config, n_idx, rep)
              for n_idx in range(len(config.n_list)) for rep in range(config.reps)]
-    workers = min(_usable_cpus(), len(tasks))
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or _wrapped_from_outside()):
-        return [_replicate(*task) for task in tasks]
     if config.design == "iv":
         # the instrument's logistic link; imported once here rather than
-        # once in every worker
+        # once in every forked worker
         import scipy.special  # noqa: F401
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        # starmap returns results in task order; an error in a worker is
-        # re-raised here, and leaving the block then terminates and
-        # joins the pool
-        out = pool.starmap(_replicate, tasks)
-        pool.close()
-        pool.join()
-    return out
+    return fork_map(_replicate, tasks)
 
 
 def run_mc(config: McConfig) -> McReport:

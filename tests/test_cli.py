@@ -174,11 +174,14 @@ def test_cli_import_leaves_out_numerical_integration():
 
 
 def test_cli_start_leaves_out_multiprocessing():
-    # only a Monte Carlo run starts worker processes; importing the CLI
-    # or asking a command for its help must not pay for the import
-    for code in ("import sys, xqte.cli; sys.exit('multiprocessing' in sys.modules)",
-                 "import sys; from xqte.cli import main; main(['simulate', '--help']); "
-                 "sys.exit('multiprocessing' in sys.modules)"):
+    # only a run of draws or replications starts worker processes;
+    # importing the CLI or asking a command for its help must not pay
+    # for the import
+    codes = ["import sys, xqte.cli; sys.exit('multiprocessing' in sys.modules)"]
+    for command in ("simulate", "estimate-iv"):
+        codes.append(f"import sys; from xqte.cli import main; main([{command!r}, '--help']); "
+                     "sys.exit('multiprocessing' in sys.modules)")
+    for code in codes:
         assert run_python(code) == 0
 
 

@@ -8,8 +8,8 @@ the former scalar index fit (oracles.pareto_index) at the frozen
 threshold. The row path must return the same TailDraws bit for bit.
 
 Negative indices never come out of a proper-CDF view, whose survival
-never rises, so some examples fit the raw CDFs instead: tail_view is
-swapped for the identity in the library and the oracle alike.
+never rises, so some examples fit the raw CDFs instead: the library's
+tail_view_rows and the oracle's tail_view are swapped for the identity.
 """
 
 from collections import Counter
@@ -51,15 +51,20 @@ def check_draws(pipe, cfg, seed):
     return failed
 
 
+def raw_rows(values):
+    """tail_view_rows that hands the values on as they are, never
+    degenerate."""
+    return np.array(values, dtype=float), np.zeros(np.shape(values)[:-1], dtype=bool)
+
+
 def patched(chunk, raw):
     """CHUNK_ELEMENTS set to chunk; with raw, the subset CDFs are fitted
     as they come instead of through their views."""
     stack = ExitStack()
     stack.enter_context(mock.patch.object(inference, "CHUNK_ELEMENTS", chunk))
     if raw:
-        identity = lambda cdf: cdf  # noqa: E731
-        stack.enter_context(mock.patch.object(inference, "tail_view", identity))
-        stack.enter_context(mock.patch.object(oracles, "tail_view", identity))
+        stack.enter_context(mock.patch.object(inference, "tail_view_rows", raw_rows))
+        stack.enter_context(mock.patch.object(oracles, "tail_view", lambda cdf: cdf))
     return stack
 
 

@@ -1,6 +1,7 @@
 import functools
 import multiprocessing
 import os
+import threading
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -218,7 +219,7 @@ def cell_fields(report):
 
 
 def run_on(cfg, cpus):
-    with mock.patch("xqte.simulate._usable_cpus", return_value=cpus):
+    with mock.patch("xqte.core._usable_cpus", return_value=cpus):
         return run_mc(cfg)
 
 
@@ -276,6 +277,29 @@ class TestWorkers:
 
         with mock.patch("xqte.simulate.gen_rdd", traced):
             report = run_on(cfg, 2)
+        assert pids == [os.getpid()] * 3
+        assert format_report(report) == format_report(run_on(cfg, 1))
+
+    def test_live_thread_keeps_the_replications_here(self):
+        # forking while another thread holds a lock can deadlock the child
+        cfg = McConfig(design="rdd", n_list=(600,), q_list=(0.025,), reps=3, seed=9,
+                       subsample=None)
+        pids = []
+
+        def spied(*args, **kwargs):
+            pids.append(os.getpid())
+            return gen_rdd(*args, **kwargs)
+
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with mock.patch("xqte.simulate.gen_rdd", spied):
+                report = run_on(cfg, 2)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
         assert pids == [os.getpid()] * 3
         assert format_report(report) == format_report(run_on(cfg, 1))
 
