@@ -41,9 +41,14 @@ class LogitModel:
     iterations: int
 
     def propensity(self, x: np.ndarray) -> np.ndarray:
-        from scipy.special import expit
+        return logistic(np.asarray(x, dtype=float) @ self.gamma)
 
-        return expit(np.asarray(x, dtype=float) @ self.gamma)
+
+def logistic(eta: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-eta)), elementwise. Exactly 0 and 1 far out in
+    the tails (exp overflows to inf below eta = -709.78), NaN stays NaN."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(eta, dtype=float)))
 
 
 def _mean_loglik(eta: np.ndarray, z: np.ndarray) -> float:
@@ -65,9 +70,6 @@ def fit_logit(
     the index passes the separation bound at every informative row, and
     NoConvergence when max_iter is exhausted.
     """
-    # scipy.special loads in a quarter second; only the logit needs it
-    from scipy.special import expit
-
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if x.ndim != 2 or x.shape[0] != z.shape[0]:
@@ -83,7 +85,7 @@ def fit_logit(
     eta = x @ gamma
     ll = _mean_loglik(eta, z)
     for it in range(1, max_iter + 1):
-        p = expit(eta)
+        p = logistic(eta)
         grad = x.T @ (z - p) / n
         if np.max(np.abs(grad)) <= tol:
             return LogitModel(gamma, True, it - 1)
@@ -106,7 +108,7 @@ def fit_logit(
             raise SeparationDetected(
                 f"|x'gamma| > {SEPARATION_BOUND} at all informative rows"
             )
-    p = expit(eta)
+    p = logistic(eta)
     grad = x.T @ (z - p) / n
     if np.max(np.abs(grad)) <= tol:
         return LogitModel(gamma, True, max_iter)

@@ -77,6 +77,17 @@ def _fmt_rows(*columns, lead: str = "") -> str:
     return line * table.shape[0] % tuple(table.ravel().tolist())
 
 
+WRITE_BLOCK_ROWS = 4096
+
+
+def _write_rows(fh, *columns, lead: str = "") -> None:
+    """Write _fmt_rows of the whole table, WRITE_BLOCK_ROWS rows at a
+    time, so no artifact is ever held whole as Python objects."""
+    table = np.column_stack(columns)
+    for start in range(0, table.shape[0], WRITE_BLOCK_ROWS):
+        fh.write(_fmt_rows(table[start:start + WRITE_BLOCK_ROWS], lead=lead))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xqte",
@@ -348,7 +359,7 @@ def write_cdf_csv(path: Path, pipe: FittedPipeline) -> None:
         raise EstimationError("arms returned different knot grids")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("y,beta0,beta1\n")
-        fh.write(_fmt_rows(c1.knots, c0.values, c1.values))
+        _write_rows(fh, c1.knots, c0.values, c1.values)
 
 
 def read_cdf_csv(path: Path | str) -> tuple[StepCdf, StepCdf]:
@@ -382,14 +393,14 @@ def write_paretofit_csv(path: Path, pipe: FittedPipeline) -> None:
             emp = 1.0 - np.asarray(evaluate(view, grid), dtype=float)
             with np.errstate(over="ignore"):
                 fitted = fit.s_min * (grid / fit.y_min) ** (-fit.alpha_hat)
-            fh.write(_fmt_rows(grid, emp, fitted, lead=f"{arm},"))
+            _write_rows(fh, grid, emp, fitted, lead=f"{arm},")
 
 
 def write_qte_csv(path: Path, results) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("q,estimate,ci_lo,ci_hi\n")
-        fh.write(_fmt_rows([r.q for r in results], [r.estimate for r in results],
-                           [r.ci.lo for r in results], [r.ci.hi for r in results]))
+        _write_rows(fh, [r.q for r in results], [r.estimate for r in results],
+                    [r.ci.lo for r in results], [r.ci.hi for r in results])
 
 
 def write_table_csv(path: Path, report: McReport) -> None:

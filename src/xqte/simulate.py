@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cdf_iv import logistic
 from .core import EstimationError, ObservationSet, flip_outcomes, fork_map, substream
 from .inference import QteResult, SubsampleConfig, estimate_qte_batch
 from .pipeline import EstimatorSettings, fit_pipeline
@@ -60,11 +61,9 @@ def gen_iv(rng: np.random.Generator, n: int) -> SimDraw:
     """Instrumented design: ten standard normal covariates drive a
     logistic instrument, compliers take treatment when the instrument
     fires."""
-    from scipy.special import expit
-
     types = rng.integers(3, size=n)
     x = rng.standard_normal((n, 10))
-    pz = expit(x @ IV_GAMMA)
+    pz = logistic(x @ IV_GAMMA)
     z = (rng.random(n) < pz).astype(np.int8)
     t0 = student_t(rng, n)
     t1 = student_t(rng, n)
@@ -185,18 +184,6 @@ def _replicate(config: McConfig, n_idx: int, rep: int) -> list[QteResult] | None
         return None
 
 
-def _replicate_all(config: McConfig) -> list[list[QteResult] | None]:
-    """_replicate for every (n_idx, rep), in that order, on forked
-    workers where core.fork_map can use them."""
-    tasks = [(config, n_idx, rep)
-             for n_idx in range(len(config.n_list)) for rep in range(config.reps)]
-    if config.design == "iv":
-        # the instrument's logistic link; imported once here rather than
-        # once in every forked worker
-        import scipy.special  # noqa: F401
-    return fork_map(_replicate, tasks)
-
-
 def run_mc(config: McConfig) -> McReport:
     """Run the Monte Carlo, one _replicate call per (sample size,
     replication), on forked workers where available. Every replication
@@ -209,7 +196,9 @@ def run_mc(config: McConfig) -> McReport:
     """
     truth = true_qte(config.design)
     truth_alt = TRUE_QTE_RDD_ALT if config.design == "rdd" else None
-    replications = iter(_replicate_all(config))
+    tasks = [(config, n_idx, rep)
+             for n_idx in range(len(config.n_list)) for rep in range(config.reps)]
+    replications = iter(fork_map(_replicate, tasks))
 
     cells = []
     for n in config.n_list:

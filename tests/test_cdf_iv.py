@@ -1,5 +1,7 @@
 """Kappa-weighted complier CDFs and the logit propensity fit."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -11,6 +13,7 @@ from xqte.cdf_iv import (
     SeparationDetected,
     fit_logit,
     kappa_cdf,
+    logistic,
 )
 from xqte.core import DegenerateDenominator, ObservationSet, evaluate, substream
 
@@ -226,3 +229,19 @@ def test_kappa_requires_iv_design():
     data = ObservationSet(design="direct", y=np.array([1.0]), d=np.array([1]))
     with pytest.raises(ValueError):
         kappa_cdf(data, _fixed_p_model(1))
+
+
+def test_logistic_matches_scipy_expit():
+    eta = np.concatenate([np.linspace(-700.0, 700.0, 1_400_001),
+                          substream(503, 0).uniform(-40.0, 40.0, 100_000)])
+    np.testing.assert_array_max_ulp(logistic(eta), expit(eta), maxulp=8)
+
+
+def test_logistic_saturates_and_passes_nan():
+    # exp(-eta) overflows below eta = -709.78; that must not warn
+    eta = np.array([-np.inf, -1000.0, 1000.0, np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = logistic(eta)
+    assert p[:4].tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert np.isnan(p[4])

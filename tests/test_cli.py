@@ -195,6 +195,20 @@ def test_discontinuity_estimate_leaves_out_special_functions(tmp_path):
     assert run_python(code) == 0
 
 
+def test_instrument_commands_run_without_scipy(tmp_path):
+    # the package needs only numpy; scipy serves the tests and oracles
+    src = tmp_path / "iv.csv"
+    write_iv_toy(src)
+    estimate = ["estimate-iv", "--input", str(src), "--q", "0.1", "--ymin-level", "0.7",
+                "--b", "48", "--B", "100", "--seed", "3", "--out", str(tmp_path / "est")]
+    simulate = ["simulate", "--design", "iv", "--n", "300", "--reps", "2", "--q", "0.025",
+                "--B", "100", "--seed", "4", "--out", str(tmp_path / "sim")]
+    code = ("import sys; sys.modules['scipy'] = None; from xqte.cli import main; "
+            f"sys.exit(main({estimate!r}) or main({simulate!r}))")
+    assert run_python(code) == 0
+    assert (tmp_path / "est" / "qte.csv").exists() and (tmp_path / "sim" / "table.csv").exists()
+
+
 class TestExitCodes:
     def test_schema_error_names_line(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"

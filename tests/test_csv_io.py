@@ -6,14 +6,18 @@ oracle: on any text the two must return bitwise-equal arrays or raise
 DataError with the same message.
 """
 
+import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xqte import cli
-from xqte.cli import DataError, read_estimation_csv
+from xqte.cli import DataError, read_cdf_csv, read_estimation_csv, write_cdf_csv
+from xqte.core import StepCdf
 
 HEADERS = {"iv": ["y", "d", "z", "x1", "x2"], "rdd": ["y", "d", "r"]}
 
@@ -154,3 +158,31 @@ def test_row_formatter_matches_per_value_format(rows, lead):
 def test_row_formatter_keeps_signed_zero_and_non_finite():
     text = cli._fmt_rows([-0.0, math.inf], [math.nan, -math.inf], [1e-320, 0.1])
     assert text == "-0,nan,9.9998886718268301e-321\ninf,-inf,0.10000000000000001\n"
+
+
+_BLOCK = cli.WRITE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1])
+@pytest.mark.parametrize("lead", ["", "1,"])
+def test_block_writer_matches_the_whole_table(n, lead):
+    rng = np.random.default_rng(n)
+    cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(3)]
+    if n:
+        cols[1][0], cols[2][-1] = -0.0, math.nan
+    fh = io.StringIO()
+    cli._write_rows(fh, *cols, lead=lead)
+    assert fh.getvalue() == cli._fmt_rows(*cols, lead=lead)
+
+
+def test_cdf_csv_longer_than_a_block_round_trips(tmp_path):
+    rng = np.random.default_rng(9)
+    n = 2 * _BLOCK + 17
+    knots = np.cumsum(rng.exponential(size=n)) - 50.0
+    v1, v0 = rng.standard_normal(n) / 3.0, rng.standard_normal(n) / 7.0
+    write_cdf_csv(tmp_path / "cdf.csv",
+                  SimpleNamespace(cdf1=StepCdf(knots, v1), cdf0=StepCdf(knots, v0)))
+    c1, c0 = read_cdf_csv(tmp_path / "cdf.csv")
+    assert c1.knots.tobytes() == knots.tobytes() == c0.knots.tobytes()
+    assert c1.values.tobytes() == v1.tobytes()
+    assert c0.values.tobytes() == v0.tobytes()

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from xqte.core import substream
 from xqte.inference import SubsampleConfig
@@ -63,6 +63,17 @@ class TestGenIv:
         comp = draw.types == 1
         gap = np.quantile(draw.y1[comp], 0.025) - np.quantile(draw.y0[comp], 0.025)
         assert abs(gap - 1.0) < 0.08
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_draws_match_the_scipy_link(self, seed, n):
+        # numpy's exp may differ from libm's in the last bit; no
+        # instrument draw may flip, so saved inputs stay the same
+        draw = gen_iv(np.random.default_rng(seed), n).data
+        with mock.patch("xqte.simulate.logistic", special.expit):
+            ref = gen_iv(np.random.default_rng(seed), n).data
+        for name in ("y", "d", "z", "x"):
+            np.testing.assert_array_equal(getattr(draw, name), getattr(ref, name))
 
 
 class TestGenRdd:
