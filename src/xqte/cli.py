@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -22,7 +23,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EstimationError, ObservationSet, StepCdf, evaluate, substream, tail_view
+from .core import (
+    EstimationError,
+    ObservationSet,
+    StepCdf,
+    evaluate,
+    fork_map,
+    fork_workers,
+    substream,
+    tail_view,
+)
 from .inference import RATE_EXPONENT, SubsampleConfig, estimate_qte_batch
 from .pipeline import EstimatorSettings, FittedPipeline, fit_pipeline
 from .simulate import McConfig, McReport, format_report, run_mc
@@ -228,6 +238,10 @@ def validate_config(cfg: RunConfig) -> None:
 # to the row loop
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _SCAN_BLOCK = 1 << 20
+# the fewest body bytes one forked worker parses in _load_plain: a file
+# whose body is shorter than twice this is parsed in this process
+# (forking pays from about 3 MB on two CPUs)
+PARSE_BLOCK_BYTES = 1 << 21
 
 
 def read_estimation_csv(path: str, design: str) -> ObservationSet:
@@ -242,14 +256,11 @@ def read_estimation_csv(path: str, design: str) -> ObservationSet:
     which accepts it or names the offending line. On plain numbers both
     parse each field with the same C routine, so values are identical.
     """
-    arr = _load_plain(path, design)
-    if arr is None:
-        arr = _read_rows(path, design)
+    columns = _load_plain(path, design)
+    if columns is None:
+        columns = _columns(_read_rows(path, design), design)
     try:
-        if design == "iv":
-            return ObservationSet(design="iv", y=arr[:, 0], d=arr[:, 1],
-                                  z=arr[:, 2], x=arr[:, 3:])
-        return ObservationSet(design="rdd", y=arr[:, 0], d=arr[:, 1], r=arr[:, 2])
+        return ObservationSet(design=design, **columns)
     except ValueError as exc:
         raise DataError(str(exc))
 
@@ -266,15 +277,35 @@ def _header_problem(header: list[str], design: str) -> str | None:
     return None
 
 
-def _load_plain(path: str, design: str) -> np.ndarray | None:
-    """The data rows as an (n, k) array when the header is valid and the
+def _columns(table: np.ndarray, design: str) -> dict[str, np.ndarray]:
+    """ObservationSet's arrays from an (n, k) table of rows that pass
+    the schema: each column its own C-contiguous copy, d and z as int8."""
+    columns = {"y": table[:, 0].copy(), "d": table[:, 1].astype(np.int8)}
+    if design == "iv":
+        columns["z"] = table[:, 2].astype(np.int8)
+        columns["x"] = np.ascontiguousarray(table[:, 3:])
+    else:
+        columns["r"] = table[:, 2].copy()
+    return columns
+
+
+def _load_plain(path: str, design: str) -> dict[str, np.ndarray] | None:
+    """The data columns (see _columns) when the header is valid and the
     body holds only digits, signs, points, exponents, commas and
-    newlines, and every row passes the schema; None otherwise."""
+    newlines, and every row passes the schema; None otherwise.
+
+    The body is parsed whole in this process or, when it is long enough,
+    in one line-aligned byte range per worker (core.fork_map), each at
+    least PARSE_BLOCK_BYTES long. Workers send back columns, which are
+    joined here in file order."""
     try:
         fh = open(path, "rb")
     except OSError:
         return None
     with fh:
+        # a pipe cannot be read twice, nor split: the row loop reads it
+        if not fh.seekable():
+            return None
         first = fh.readline()
         # without quotes, carriage returns or NULs the csv module splits
         # the header line at its commas
@@ -286,24 +317,73 @@ def _load_plain(path: str, design: str) -> np.ndarray | None:
             return None
         if _header_problem(header, design) is not None:
             return None
+        start = fh.tell()
         has_rows = False
         while block := fh.read(_SCAN_BLOCK):
             if block.translate(None, _PLAIN_BYTES):
                 return None
             has_rows = has_rows or block.count(b"\n") < len(block)
-    if not has_rows:
+        if not has_rows:
+            return None
+        end = fh.tell()
+        workers = fork_workers((end - start) // PARSE_BLOCK_BYTES)
+        tasks = [(path, design, len(header))]
+        if workers > 1:
+            # each range after the first starts on the line after its
+            # even share of the body begins
+            bounds = [start]
+            for k in range(1, workers):
+                fh.seek(start + (end - start) * k // workers)
+                fh.readline()
+                bounds.append(max(fh.tell(), bounds[-1]))
+            bounds.append(end)
+            tasks = [(path, design, len(header), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    parts = fork_map(_parse_block, tasks)
+    if any(part is None for part in parts):
         return None
+    if len(parts) == 1:
+        return parts[0]
+    # popping lets each block's column go as soon as it is joined
+    return {name: np.concatenate([part.pop(name) for part in parts]) for name in list(parts[0])}
+
+
+def _parse_block(path: str, design: str, ncol: int, start: int | None = None,
+                 end: int | None = None) -> dict[str, np.ndarray] | None:
+    """_columns of the rows of path's body, or of bytes start to end of
+    path, a range of whole lines of plain bytes; None when a row does not
+    parse, has other than ncol fields, is not finite or has d or z
+    outside {0, 1}."""
+    options = dict(delimiter=",", comments=None, ndmin=2, dtype=float, encoding="utf-8")
     try:
-        arr = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2,
-                         dtype=float, encoding="utf-8")
+        if start is None:
+            # np.loadtxt skips empty lines itself, and reads a path
+            # faster than a file object or a generator of its lines
+            table = np.loadtxt(path, skiprows=1, **options)
+        else:
+            with open(path, "rb") as fh:
+                fh.seek(start)
+                lines = _nonblank_lines(fh, end - start)
+                first = next(lines, None)
+                if first is None:
+                    return _columns(np.empty((0, ncol)), design)
+                table = np.loadtxt(itertools.chain([first], lines), **options)
     except ValueError:
         return None
-    if arr.shape[1] != len(header) or not np.isfinite(arr).all():
+    if table.shape[1] != ncol or not np.isfinite(table).all():
         return None
-    binary = arr[:, 1:3] if design == "iv" else arr[:, 1:2]
+    binary = table[:, 1:3] if design == "iv" else table[:, 1:2]
     if not ((binary == 0.0) | (binary == 1.0)).all():
         return None
-    return arr
+    return _columns(table, design)
+
+
+def _nonblank_lines(fh, size: int):
+    """The lines in the next size bytes of fh, without the empty ones
+    (plain bytes hold no other whitespace), which the row loop skips."""
+    while size > 0 and (line := fh.readline()):
+        size -= len(line)
+        if line != b"\n":
+            yield line
 
 
 def _read_rows(path: str, design: str) -> np.ndarray:

@@ -70,7 +70,9 @@ class ObservationSet:
         if d.shape != (n,):
             raise ValueError("d must match y in length")
         d = _check_binary(d, "d").astype(np.int8)
-        object.__setattr__(self, "y", y)
+        # stored C-contiguous, so that subset gathers whole rows from
+        # adjacent memory, not from every column of a wider parsed table
+        object.__setattr__(self, "y", np.ascontiguousarray(y))
         object.__setattr__(self, "d", d)
         if self.design == "iv":
             if self.z is None or self.x is None:
@@ -83,7 +85,7 @@ class ObservationSet:
             if x.ndim != 2 or x.shape[0] != n:
                 raise ValueError("x must be a 2-d array with one row per unit")
             object.__setattr__(self, "z", z)
-            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "x", np.ascontiguousarray(x))
         elif self.design == "rdd":
             if self.r is None:
                 raise ValueError("rdd design needs the running variable r")
@@ -108,7 +110,7 @@ class ObservationSet:
             y=self.y[idx],
             d=self.d[idx],
             z=None if self.z is None else self.z[idx],
-            x=None if self.x is None else self.x[idx],
+            x=None if self.x is None else np.take(self.x, idx, axis=0),
             r=None if self.r is None else self.r[idx],
         )
         return out
@@ -262,9 +264,12 @@ def _wrapped_from_outside() -> bool:
 def fork_workers(tasks: int) -> int:
     """The number of forked workers fork_map runs a list of tasks
     tasks on: one per usable CPU (the CPUs this process may run on), at
-    most one per task. It is 1, for a run in this process, without the
-    fork start method, inside a pool worker (a daemon process, which may
-    not fork), while another Python thread is alive (a forked child
+    most one per task. A caller that splits work into blocks passes the
+    most blocks the work is worth (inference.FORK_MIN_DRAW_ROWS,
+    cli.PARSE_BLOCK_BYTES), so that work too small to pay for starting a
+    pool stays in this process and never imports multiprocessing. It is 1, for a run in this process, without
+    the fork start method, inside a pool worker (a daemon process, which
+    may not fork), while another Python thread is alive (a forked child
     inherits whatever locks that thread holds and can deadlock on them),
     and when a function has been wrapped (see _wrapped_from_outside)."""
     workers = min(_usable_cpus(), tasks)

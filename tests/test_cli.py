@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from xqte.cli import DataError, main, read_cdf_csv, read_estimation_csv
+from xqte.core import substream
 from xqte.pipeline import EstimatorSettings, fit_pipeline
+from xqte.simulate import gen_iv
 
 
 def write_rdd_toy(path):
@@ -173,16 +175,24 @@ def test_cli_import_leaves_out_numerical_integration():
     assert run_python(code) == 0
 
 
-def test_cli_start_leaves_out_multiprocessing():
-    # only a run of draws or replications starts worker processes;
-    # importing the CLI or asking a command for its help must not pay
-    # for the import
+def test_cli_start_leaves_out_multiprocessing(tmp_path):
+    # only work worth a pool starts worker processes; importing the CLI,
+    # asking a command for its help or estimating on a 2 MB file with
+    # 10^4 subset rows in all must not pay for the import
+    data = gen_iv(substream(1, 0), 10_000).data
+    src = tmp_path / "iv.csv"
+    header = ",".join(["y", "d", "z"] + [f"x{i}" for i in range(1, data.x.shape[1] + 1)])
+    np.savetxt(src, np.column_stack([data.y, data.d, data.z, data.x]), fmt="%.17g",
+               delimiter=",", header=header, comments="")
+    estimate = ["estimate-iv", "--input", str(src), "--q", "0.02", "--b", "100", "--B", "100",
+                "--out", str(tmp_path / "out")]
     codes = ["import sys, xqte.cli; sys.exit('multiprocessing' in sys.modules)"]
-    for command in ("simulate", "estimate-iv"):
-        codes.append(f"import sys; from xqte.cli import main; main([{command!r}, '--help']); "
+    for argv in (["simulate", "--help"], ["estimate-iv", "--help"], estimate):
+        codes.append(f"import sys; from xqte.cli import main; main({argv!r}); "
                      "sys.exit('multiprocessing' in sys.modules)")
     for code in codes:
         assert run_python(code) == 0
+    assert (tmp_path / "out" / "cdf.csv").stat().st_size > 0
 
 
 def test_discontinuity_estimate_leaves_out_special_functions(tmp_path):

@@ -194,6 +194,22 @@ def test_observation_set_subset():
     assert sub.x.shape == (2, 2)
 
 
+def test_observation_set_gathers_rows_from_contiguous_columns():
+    # y and x given as strided views of one wider table
+    rng = np.random.default_rng(2)
+    table = rng.standard_normal((50, 6))
+    data = ObservationSet(design="iv", y=table[:, 0], d=table[:, 1] > 0, z=table[:, 2] > 0,
+                          x=table[:, 3:])
+    assert data.y.flags.c_contiguous and data.x.flags.c_contiguous
+    idx = rng.choice(50, 20, replace=False)
+    sub = data.subset(idx)
+    assert sub.x.flags.c_contiguous and sub.x.shape == (20, 3)
+    assert sub.x.tobytes() == table[:, 3:][idx].tobytes()
+    assert sub.y.tobytes() == table[idx, 0].tobytes()
+    with pytest.raises(ValueError):  # a 0-d y is no 1-d array, contiguous or not
+        ObservationSet(design="direct", y=1.0, d=np.array([1]))
+
+
 # ------------------------------------------------------------- substreams
 
 def test_substream_reproducible_and_independent():

@@ -4,8 +4,8 @@ subsample_tail_pairs splits the draw numbers into one contiguous block
 per usable CPU and runs each block's engine on a forked worker
 (core.fork_map). The draws must come out the same bit for bit at any
 worker count, reach the workers without pickling, and stay in the
-calling process where forking would be unsafe or would hide calls from
-a tracer.
+calling process where forking would be unsafe, would hide calls from
+a tracer or would take longer than the draws.
 """
 
 import functools
@@ -31,10 +31,12 @@ def bits(a):
 
 
 @contextmanager
-def on_cpus(cpus, log_dir):
-    """core's CPU count patched to cpus; every call of a draw engine
-    leaves a file "<pid>-<ppid>-<first draw>-<end draw>-<call>" in
-    log_dir, call counting the engine calls of its process."""
+def on_cpus(cpus, log_dir, min_rows=0):
+    """core's CPU count patched to cpus and the draw rows from which
+    draws fork (inference.FORK_MIN_DRAW_ROWS) to min_rows for every
+    design, so that the small cases below fork; every call of a draw engine leaves a file
+    "<pid>-<ppid>-<first draw>-<end draw>-<call>" in log_dir, call
+    counting the engine calls of its process."""
     calls = itertools.count()
 
     def logged(engine):
@@ -48,6 +50,8 @@ def on_cpus(cpus, log_dir):
 
     with ExitStack() as stack:
         stack.enter_context(mock.patch.object(core, "_usable_cpus", return_value=cpus))
+        stack.enter_context(mock.patch.dict(
+            inference.FORK_MIN_DRAW_ROWS, dict.fromkeys(inference.FORK_MIN_DRAW_ROWS, min_rows)))
         for name in ("_frozen_draws", "_rdd_draws"):
             engine = logged(getattr(inference, name))
             stack.enter_context(mock.patch.object(inference, name, engine))
@@ -133,6 +137,22 @@ def test_draws_are_the_same_at_any_worker_count(case, log):
         assert tails.failed == one.failed
         for name in ("alphas", "survivals", "thresholds"):
             assert bits(getattr(tails, name)) == bits(getattr(one, name))
+
+
+@pytest.mark.parametrize("case", [iv_case, direct_case, rdd_case], ids=["iv", "direct", "rdd"])
+def test_small_draw_sets_stay_in_process(case, log):
+    # a draw set forks only from its own design's FORK_MIN_DRAW_ROWS
+    # subset rows on; the other designs' gates are 0 and would fork
+    pipe, cfg = case()
+    design = pipe.data.design
+    rows = cfg.resolve_b(pipe.data.n) * cfg.draws
+    for min_rows, blocks in ((rows + 1, 1), (rows, 2), (inference.FORK_MIN_DRAW_ROWS[design], 1)):
+        with on_cpus(2, log), mock.patch.dict(inference.FORK_MIN_DRAW_ROWS, {design: min_rows}):
+            subsample_tail_pairs(pipe, cfg, lambda t: substream(5, t))
+        calls = engine_calls(log)
+        assert [call[2:] for call in calls] == [
+            (cfg.draws * k // blocks, cfg.draws * (k + 1) // blocks) for k in range(blocks)]
+        assert_ran_on_workers(calls, blocks)
 
 
 def write_csv(path, data):
