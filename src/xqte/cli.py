@@ -238,10 +238,10 @@ def validate_config(cfg: RunConfig) -> None:
 # to the row loop
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _SCAN_BLOCK = 1 << 20
-# the fewest body bytes one forked worker parses in _load_plain: a file
-# whose body is shorter than twice this is parsed in this process
-# (forking pays from about 3 MB on two CPUs)
-PARSE_BLOCK_BYTES = 1 << 21
+# the fewest body bytes one forked worker parses in _load_plain: a body
+# shorter than twice this is parsed in this process (end to end on two
+# CPUs, split bodies of 4.5 and 6.8 MB were no faster and cost more CPU)
+PARSE_BLOCK_BYTES = 1 << 22
 
 
 def read_estimation_csv(path: str, design: str) -> ObservationSet:

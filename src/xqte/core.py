@@ -261,19 +261,24 @@ def _wrapped_from_outside() -> bool:
     return any(hasattr(fn, "__wrapped__") for fn in functions)
 
 
-def fork_workers(tasks: int) -> int:
-    """The number of forked workers fork_map runs a list of tasks
-    tasks on: one per usable CPU (the CPUs this process may run on), at
-    most one per task. A caller that splits work into blocks passes the
-    most blocks the work is worth (inference.FORK_MIN_DRAW_ROWS,
-    cli.PARSE_BLOCK_BYTES), so that work too small to pay for starting a
-    pool stays in this process and never imports multiprocessing. It is 1, for a run in this process, without
-    the fork start method, inside a pool worker (a daemon process, which
-    may not fork), while another Python thread is alive (a forked child
-    inherits whatever locks that thread holds and can deadlock on them),
-    and when a function has been wrapped (see _wrapped_from_outside)."""
+# rows a run touches (b per subsample draw, n per Monte Carlo
+# replication) from which it forks; below it, in end-to-end runs on 2
+# CPUs (CHANGES.md), forking saved no resolvable wall time and cost more CPU
+FORK_MIN_ROWS = 2**19
+
+
+def fork_workers(tasks: int, rows: int | None = None) -> int:
+    """How many forked workers fork_map runs a list of tasks on, given
+    its length: one per usable CPU (the CPUs this process may run on), at
+    most one per task, and 1 for work of fewer than FORK_MIN_ROWS rows,
+    which then never imports multiprocessing (the CSV parse passes no
+    rows but the byte blocks its body is worth). It is also 1 without the
+    fork start method, inside a pool worker (a daemon process, which may
+    not fork), while another Python thread is alive (a forked child
+    inherits the locks that thread holds and can deadlock on them) and
+    when a function has been wrapped at run time (_wrapped_from_outside)."""
     workers = min(_usable_cpus(), tasks)
-    if workers < 2:
+    if workers < 2 or (rows is not None and rows < FORK_MIN_ROWS):
         return 1
     import multiprocessing
     import threading
@@ -302,15 +307,15 @@ def _run_task(i: int):
     return fn(*tasks[i])
 
 
-def fork_map(fn: Callable, tasks: Sequence[tuple]) -> list:
+def fork_map(fn: Callable, tasks: Sequence[tuple], rows: int | None = None) -> list:
     """[fn(*task) for task in tasks], in task order, on a pool of
-    fork_workers(len(tasks)) forked processes, which is shut down and
+    fork_workers(len(tasks), rows) forked processes, which is shut down and
     joined before this returns or raises. fn and the tasks reach the
     workers by fork inheritance, so closures and large arrays need no
     pickling; only task numbers go out and results come back. With one
     worker everything runs in this process. An exception in a worker is
     re-raised here."""
-    workers = fork_workers(len(tasks))
+    workers = fork_workers(len(tasks), rows)
     if workers < 2:
         return [fn(*task) for task in tasks]
     import multiprocessing

@@ -13,11 +13,11 @@ subset so the draws carry the threshold noise as well.
 Draw streams come from a caller-supplied rng_for_draw(t) so results do
 not depend on worker count or draw order. The draws run on forked
 workers (core.fork_map), one per usable CPU, each on one contiguous
-block of the draw numbers, once their subsets hold the design's
-FORK_MIN_DRAW_ROWS rows in all; the fitted pipeline and rng_for_draw
-reach them by fork inheritance, and their rows are concatenated in draw
-order. Every row is fitted independently of the rows computed with it,
-so the draws are the same bit for bit at any worker count.
+block of the draw numbers, once their subsets hold core.FORK_MIN_ROWS
+rows in all; the fitted pipeline and rng_for_draw reach them by fork
+inheritance, and their rows are concatenated in draw order. Every row
+is fitted independently of the rows computed with it, so the draws are
+the same bit for bit at any worker count.
 
 Every draw's tail indices come from tail.tail_index_rows, the one
 implementation of the closed-form index, with each arm of a draw as a
@@ -68,12 +68,6 @@ from .tail import TailFit, extrapolated_quantiles, qte_point, tail_index_rows
 # The frozen-threshold draws fit their kept tails whenever these hold a
 # quarter of it.
 CHUNK_ELEMENTS = 2**14
-# subset rows (b x draws) per design from which a draw set runs on
-# forked workers; below them the draws take about as long as starting
-# the pool (about 0.07 s of draws on two CPUs). An RDD draw costs
-# several times less per row than an IV draw, and a direct draw less
-# per row but as much per draw.
-FORK_MIN_DRAW_ROWS = {"iv": 2**16, "direct": 2**17, "rdd": 2**18}
 
 # Convergence-rate exponent per design: the scaled dispersion
 # (b/n)^exponent (draw - point) mimics the sampling error of the full
@@ -157,8 +151,7 @@ def subsample_tail_pairs(
     rdd = pipeline.data.design == "rdd"
     # one contiguous block of draw numbers per worker, concatenated in
     # draw order; a draw's row does not depend on the rows fitted with it
-    worth_forking = b * cfg.draws >= FORK_MIN_DRAW_ROWS[pipeline.data.design]
-    workers = fork_workers(cfg.draws if worth_forking else 1)
+    workers = fork_workers(cfg.draws, b * cfg.draws)
     bounds = [cfg.draws * k // workers for k in range(workers + 1)]
     parts = fork_map(_rdd_draws if rdd else _frozen_draws, [
         (pipeline, cfg, b, rng_for_draw, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])

@@ -186,7 +186,7 @@ def _replicate(config: McConfig, n_idx: int, rep: int) -> list[QteResult] | None
 
 def run_mc(config: McConfig) -> McReport:
     """Run the Monte Carlo, one _replicate call per (sample size,
-    replication), on forked workers where available. Every replication
+    replication), on forked workers (core.fork_workers). Every replication
     draws from its own substreams, so the report is the same for any
     worker count and any subset of cells can be reproduced in isolation.
 
@@ -198,7 +198,9 @@ def run_mc(config: McConfig) -> McReport:
     truth_alt = TRUE_QTE_RDD_ALT if config.design == "rdd" else None
     tasks = [(config, n_idx, rep)
              for n_idx in range(len(config.n_list)) for rep in range(config.reps)]
-    replications = iter(fork_map(_replicate, tasks))
+    sub = config.subsample
+    rows = sum(n + (sub.resolve_b(n) * sub.draws if sub else 0) for n in config.n_list)
+    replications = iter(fork_map(_replicate, tasks, config.reps * rows))
 
     cells = []
     for n in config.n_list:

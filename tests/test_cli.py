@@ -12,7 +12,7 @@ import pytest
 from xqte.cli import DataError, main, read_cdf_csv, read_estimation_csv
 from xqte.core import substream
 from xqte.pipeline import EstimatorSettings, fit_pipeline
-from xqte.simulate import gen_iv
+from xqte.simulate import gen_iv, gen_rdd
 
 
 def write_rdd_toy(path):
@@ -177,22 +177,25 @@ def test_cli_import_leaves_out_numerical_integration():
 
 def test_cli_start_leaves_out_multiprocessing(tmp_path):
     # only work worth a pool starts worker processes; importing the CLI,
-    # asking a command for its help or estimating on a 2 MB file with
-    # 10^4 subset rows in all must not pay for the import
-    data = gen_iv(substream(1, 0), 10_000).data
-    src = tmp_path / "iv.csv"
-    header = ",".join(["y", "d", "z"] + [f"x{i}" for i in range(1, data.x.shape[1] + 1)])
-    np.savetxt(src, np.column_stack([data.y, data.d, data.z, data.x]), fmt="%.17g",
+    # asking a command for its help or estimating on a 2 MB file of 10^4
+    # rows at the default b and B (631 x 500 = 315,500 subset rows, under
+    # core.FORK_MIN_ROWS) must not pay for the import
+    iv, rdd = gen_iv(substream(1, 0), 10_000).data, gen_rdd(substream(1, 1), 10_000).data
+    header = ",".join(["y", "d", "z"] + [f"x{i}" for i in range(1, iv.x.shape[1] + 1)])
+    np.savetxt(tmp_path / "iv.csv", np.column_stack([iv.y, iv.d, iv.z, iv.x]), fmt="%.17g",
                delimiter=",", header=header, comments="")
-    estimate = ["estimate-iv", "--input", str(src), "--q", "0.02", "--b", "100", "--B", "100",
-                "--out", str(tmp_path / "out")]
+    np.savetxt(tmp_path / "rdd.csv", np.column_stack([rdd.y, rdd.d, rdd.r]), fmt="%.17g",
+               delimiter=",", header="y,d,r", comments="")
+    estimates = [[f"estimate-{design}", "--input", str(tmp_path / f"{design}.csv"),
+                  "--q", "0.02", "--out", str(tmp_path / design)] for design in ("iv", "rdd")]
     codes = ["import sys, xqte.cli; sys.exit('multiprocessing' in sys.modules)"]
-    for argv in (["simulate", "--help"], ["estimate-iv", "--help"], estimate):
+    for argv in (["simulate", "--help"], ["estimate-iv", "--help"], *estimates):
         codes.append(f"import sys; from xqte.cli import main; main({argv!r}); "
                      "sys.exit('multiprocessing' in sys.modules)")
     for code in codes:
         assert run_python(code) == 0
-    assert (tmp_path / "out" / "cdf.csv").stat().st_size > 0
+    for design in ("iv", "rdd"):
+        assert (tmp_path / design / "cdf.csv").stat().st_size > 0
 
 
 def test_discontinuity_estimate_leaves_out_special_functions(tmp_path):

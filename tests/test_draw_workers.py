@@ -32,9 +32,9 @@ def bits(a):
 
 @contextmanager
 def on_cpus(cpus, log_dir, min_rows=0):
-    """core's CPU count patched to cpus and the draw rows from which
-    draws fork (inference.FORK_MIN_DRAW_ROWS) to min_rows for every
-    design, so that the small cases below fork; every call of a draw engine leaves a file
+    """core's CPU count patched to cpus and the rows from which work
+    forks (core.FORK_MIN_ROWS) to min_rows, so that the small cases below
+    fork; every call of a draw engine leaves a file
     "<pid>-<ppid>-<first draw>-<end draw>-<call>" in log_dir, call
     counting the engine calls of its process."""
     calls = itertools.count()
@@ -50,8 +50,7 @@ def on_cpus(cpus, log_dir, min_rows=0):
 
     with ExitStack() as stack:
         stack.enter_context(mock.patch.object(core, "_usable_cpus", return_value=cpus))
-        stack.enter_context(mock.patch.dict(
-            inference.FORK_MIN_DRAW_ROWS, dict.fromkeys(inference.FORK_MIN_DRAW_ROWS, min_rows)))
+        stack.enter_context(mock.patch.object(core, "FORK_MIN_ROWS", min_rows))
         for name in ("_frozen_draws", "_rdd_draws"):
             engine = logged(getattr(inference, name))
             stack.enter_context(mock.patch.object(inference, name, engine))
@@ -141,13 +140,12 @@ def test_draws_are_the_same_at_any_worker_count(case, log):
 
 @pytest.mark.parametrize("case", [iv_case, direct_case, rdd_case], ids=["iv", "direct", "rdd"])
 def test_small_draw_sets_stay_in_process(case, log):
-    # a draw set forks only from its own design's FORK_MIN_DRAW_ROWS
-    # subset rows on; the other designs' gates are 0 and would fork
+    # every design's draw set forks from the same core.FORK_MIN_ROWS
+    # subset rows (b x draws) on
     pipe, cfg = case()
-    design = pipe.data.design
     rows = cfg.resolve_b(pipe.data.n) * cfg.draws
-    for min_rows, blocks in ((rows + 1, 1), (rows, 2), (inference.FORK_MIN_DRAW_ROWS[design], 1)):
-        with on_cpus(2, log), mock.patch.dict(inference.FORK_MIN_DRAW_ROWS, {design: min_rows}):
+    for min_rows, blocks in ((rows + 1, 1), (rows, 2), (core.FORK_MIN_ROWS, 1)):
+        with on_cpus(2, log, min_rows):
             subsample_tail_pairs(pipe, cfg, lambda t: substream(5, t))
         calls = engine_calls(log)
         assert [call[2:] for call in calls] == [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from xqte import core
 from xqte.core import substream
 from xqte.inference import SubsampleConfig
 from xqte.pipeline import fit_pipeline
@@ -229,8 +230,12 @@ def cell_fields(report):
     ]
 
 
-def run_on(cfg, cpus):
-    with mock.patch("xqte.core._usable_cpus", return_value=cpus):
+def run_on(cfg, cpus, min_rows=0):
+    """run_mc on cpus usable CPUs with the rows from which it forks
+    (core.FORK_MIN_ROWS) set to min_rows, 0 unless given, so that these
+    small runs fork."""
+    with mock.patch("xqte.core._usable_cpus", return_value=cpus), \
+            mock.patch("xqte.core.FORK_MIN_ROWS", min_rows):
         return run_mc(cfg)
 
 
@@ -256,6 +261,28 @@ class TestWorkers:
             assert [(c.n_used, c.n_failed) for c in two.cells] == [(0, 2)]
         else:
             assert sum(c.n_used for c in two.cells) > 0
+
+    def test_small_runs_stay_in_process(self):
+        # 3 x (600 + 89 x 100) + 3 x (1000 + 126 x 100) = 69,300 rows:
+        # below the gate the replications run here; a pool made this run
+        # about 1.7 times as slow
+        cfg = McConfig(design="rdd", n_list=(600, 1000), q_list=(0.02, 0.025), reps=3, seed=4,
+                       subsample=SubsampleConfig(draws=100))
+        pids = []
+
+        def spied(*args, **kwargs):
+            pids.append(os.getpid())
+            return gen_rdd(*args, **kwargs)
+
+        reports = []
+        for min_rows, here in ((core.FORK_MIN_ROWS, True), (69_301, True), (69_300, False)):
+            with mock.patch("xqte.simulate.gen_rdd", spied):
+                reports.append(format_report(run_on(cfg, 2, min_rows)))
+            # a forked worker's calls are lost with its memory
+            assert pids == ([os.getpid()] * 6 if here else [])
+            assert not multiprocessing.active_children()
+            pids.clear()
+        assert len(set(reports)) == 1
 
     def test_other_errors_reach_the_caller_from_a_worker(self):
         cfg = McConfig(design="iv", n_list=(600,), q_list=(0.025,), reps=2, seed=8,
