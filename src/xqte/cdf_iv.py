@@ -84,11 +84,13 @@ def fit_logit(
     gamma = np.zeros(k)
     eta = x @ gamma
     ll = _mean_loglik(eta, z)
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter + 1):
         p = logistic(eta)
         grad = x.T @ (z - p) / n
         if np.max(np.abs(grad)) <= tol:
-            return LogitModel(gamma, True, it - 1)
+            return LogitModel(gamma, True, it)
+        if it == max_iter:
+            break
         w = p * (1.0 - p)
         hess = (x * w[:, None]).T @ x / n
         try:
@@ -108,10 +110,6 @@ def fit_logit(
             raise SeparationDetected(
                 f"|x'gamma| > {SEPARATION_BOUND} at all informative rows"
             )
-    p = logistic(eta)
-    grad = x.T @ (z - p) / n
-    if np.max(np.abs(grad)) <= tol:
-        return LogitModel(gamma, True, max_iter)
     raise NoConvergence(f"gradient {np.max(np.abs(grad)):.3e} > tol after {max_iter} iterations")
 
 

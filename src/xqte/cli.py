@@ -190,18 +190,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc))
 
 
-def validate_config(cfg: RunConfig) -> None:
-    """All checks that need no data; raises ConfigError before any work."""
-    if cfg.command == "simulate":
-        if cfg.design not in ("iv", "rdd"):
-            raise ConfigError(f"unknown design {cfg.design!r}")
-        if not cfg.n:
-            raise ConfigError("simulate needs at least one sample size (--n)")
-        if cfg.reps < 1:
-            raise ConfigError("simulate needs a positive replication count (--reps)")
-        if not cfg.q:
-            raise ConfigError("the q-list must not be empty")
-    else:
+def validate_config(cfg: RunConfig) -> tuple[EstimatorSettings, SubsampleConfig, McConfig | None]:
+    """All checks that need no data; raises ConfigError before any work.
+
+    Returns the run's estimator settings, subsample settings and, for
+    simulate, Monte Carlo configuration. Those objects check their own
+    fields; only the estimation input, tail side and q range are checked
+    here."""
+    if cfg.command != "simulate":
         if not cfg.input:
             raise ConfigError("an input CSV is required (--input)")
         if cfg.tail_side not in ("lower", "upper"):
@@ -212,26 +208,16 @@ def validate_config(cfg: RunConfig) -> None:
             if not 0.0 < q < 1.0:
                 raise ConfigError(f"quantile level {q} outside (0, 1)")
     try:
-        EstimatorSettings(omega=cfg.omega, ymin_level=cfg.ymin_level, trim=cfg.trim)
+        settings = EstimatorSettings(omega=cfg.omega, ymin_level=cfg.ymin_level, trim=cfg.trim)
+        sub = SubsampleConfig(b=cfg.b, draws=cfg.B, ci_level=cfg.ci_level)
+        sub.validate()
+        mc = None
+        if cfg.command == "simulate":
+            mc = McConfig(design=cfg.design, n_list=cfg.n, q_list=cfg.q, reps=cfg.reps,
+                          seed=cfg.seed, settings=settings, subsample=sub)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if cfg.B < 100:
-        raise ConfigError("need at least 100 subsample draws")
-    if not 0.0 < cfg.ci_level < 1.0:
-        raise ConfigError("ci_level must lie in (0, 1)")
-    if cfg.b is not None and cfg.b < 2:
-        raise ConfigError("subsample size b must be at least 2")
-    if cfg.command == "simulate":
-        try:
-            McConfig(
-                design=cfg.design,
-                n_list=tuple(cfg.n),
-                q_list=tuple(cfg.q),
-                reps=cfg.reps,
-                seed=cfg.seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+    return settings, sub, mc
 
 
 # bytes a body of plain numbers is made of; any other byte sends the file
@@ -520,15 +506,7 @@ def _jsonable(value):
 def write_run_json(path: Path, cfg: RunConfig, meta: dict) -> None:
     """Resolved configuration plus run facts. The file doubles as a
     --config payload: the loader ignores _meta and checks command."""
-    payload = {"command": cfg.command}
-    for name in _CONFIG_FIELDS:
-        if name == "command":
-            continue
-        value = getattr(cfg, name)
-        if isinstance(value, tuple):
-            value = list(value)
-        payload[name] = value
-    payload["_meta"] = _jsonable(meta)
+    payload = _jsonable({**dataclasses.asdict(cfg), "_meta": meta})
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -544,12 +522,10 @@ def _arm_summary(fit) -> dict:
     }
 
 
-def cmd_estimate(cfg: RunConfig) -> None:
+def cmd_estimate(cfg: RunConfig, settings: EstimatorSettings, sub: SubsampleConfig) -> None:
     data = read_estimation_csv(cfg.input, cfg.design)
-    settings = EstimatorSettings(omega=cfg.omega, ymin_level=cfg.ymin_level, trim=cfg.trim)
-    sub = SubsampleConfig(b=cfg.b, draws=cfg.B, ci_level=cfg.ci_level)
     try:
-        sub.validate(data.n)
+        b = sub.validate(data.n)
     except ValueError as exc:
         raise ConfigError(str(exc))
     pipe = fit_pipeline(data, settings, tail_side=cfg.tail_side)
@@ -562,7 +538,7 @@ def cmd_estimate(cfg: RunConfig) -> None:
     write_qte_csv(outdir / "qte.csv", results)
     meta = {
         "n_rows": data.n,
-        "resolved_b": sub.resolve_b(data.n),
+        "resolved_b": b,
         "rate_exponent": RATE_EXPONENT[data.design],
         "flipped": pipe.tail_side == "lower",
         "discarded_draws": results[0].ci.n_failed,
@@ -574,16 +550,7 @@ def cmd_estimate(cfg: RunConfig) -> None:
     write_run_json(outdir / "run.json", cfg, meta)
 
 
-def cmd_simulate(cfg: RunConfig) -> None:
-    mc = McConfig(
-        design=cfg.design,
-        n_list=tuple(cfg.n),
-        q_list=tuple(cfg.q),
-        reps=cfg.reps,
-        seed=cfg.seed,
-        settings=EstimatorSettings(omega=cfg.omega, ymin_level=cfg.ymin_level, trim=cfg.trim),
-        subsample=SubsampleConfig(b=cfg.b, draws=cfg.B, ci_level=cfg.ci_level),
-    )
+def cmd_simulate(cfg: RunConfig, mc: McConfig) -> None:
     report = run_mc(mc)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -609,15 +576,15 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         cfg = resolve_config(args)
-        validate_config(cfg)
+        settings, sub, mc = validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if cfg.command == "simulate":
-            cmd_simulate(cfg)
+        if mc is not None:
+            cmd_simulate(cfg, mc)
         else:
-            cmd_estimate(cfg)
+            cmd_estimate(cfg, settings, sub)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

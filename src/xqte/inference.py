@@ -89,32 +89,32 @@ class UndefinedEstimate(EstimationError):
 @dataclass(frozen=True)
 class SubsampleConfig:
     """b is the subsample size (None picks ceil(n^0.7)), draws the number
-    of subsets, ci_level the two-sided coverage target.
-
-    allow_degenerate is a test hook letting b == n through, which turns
-    every draw into the full sample.
-    """
+    of subsets, ci_level the two-sided coverage target."""
 
     b: int | None = None
     draws: int = 500
     ci_level: float = 0.95
     max_failure_share: float = 0.10
-    allow_degenerate: bool = False
 
     def resolve_b(self, n: int) -> int:
         return int(math.ceil(n**0.7)) if self.b is None else int(self.b)
 
-    def validate(self, n: int) -> int:
-        b = self.resolve_b(n)
-        upper_ok = b <= n if self.allow_degenerate else b < n
-        if not (1 < b and upper_ok):
-            raise ValueError(f"subsample size b={b} not in (1, n) for n={n}")
+    def validate(self, n: int | None = None) -> int | None:
+        """Check every setting; given a sample size n, also check b
+        against it and return the resolved b."""
+        if self.b is not None and self.b < 2:
+            raise ValueError("subsample size b must be at least 2")
         if self.draws < 100:
             raise ValueError("need at least 100 subsample draws")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must lie in (0, 1)")
         if not 0.0 <= self.max_failure_share < 1.0:
             raise ValueError("max_failure_share must lie in [0, 1)")
+        if n is None:
+            return None
+        b = self.resolve_b(n)
+        if not 1 < b < n:
+            raise ValueError(f"subsample size b={b} not in (1, n) for n={n}")
         return b
 
 

@@ -118,12 +118,19 @@ class McConfig:
     def __post_init__(self):
         if self.design not in ("iv", "rdd"):
             raise ValueError(f"unknown simulated design {self.design!r}")
-        if not self.n_list or any(n < 100 for n in self.n_list):
+        if not self.n_list:
+            raise ValueError("simulate needs at least one sample size (--n)")
+        if any(n < 100 for n in self.n_list):
             raise ValueError("each sample size must be at least 100")
-        if not self.q_list or any(not 0.0 < q < 0.5 for q in self.q_list):
+        if not self.q_list:
+            raise ValueError("the q-list must not be empty")
+        if any(not 0.0 < q < 0.5 for q in self.q_list):
             raise ValueError("quantile levels must lie in (0, 0.5): these are left-tail targets")
         if self.reps < 1:
-            raise ValueError("reps must be positive")
+            raise ValueError("simulate needs a positive replication count (--reps)")
+        if self.subsample is not None:
+            for n in self.n_list:
+                self.subsample.validate(n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -112,6 +112,21 @@ def test_fit_logit_no_convergence():
         fit_logit(x, z, max_iter=1)
 
 
+def test_fit_logit_converging_at_max_iter():
+    # the last permitted Newton step is the one that converges: the fit
+    # succeeds with the same iterate; one step fewer does not converge
+    rng = substream(501, 3)
+    x = np.column_stack([np.ones(200), rng.normal(size=200)])
+    z = (rng.random(200) < expit(x @ np.array([0.3, -1.0]))).astype(int)
+    free = fit_logit(x, z)
+    assert free.converged and free.iterations > 1
+    capped = fit_logit(x, z, max_iter=free.iterations)
+    assert capped.iterations == free.iterations
+    np.testing.assert_array_equal(capped.gamma, free.gamma)
+    with pytest.raises(NoConvergence):
+        fit_logit(x, z, max_iter=free.iterations - 1)
+
+
 def test_fit_logit_rejects_constant_z():
     with pytest.raises(ValueError):
         fit_logit(np.ones((4, 1)), np.zeros(4))

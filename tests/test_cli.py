@@ -291,6 +291,36 @@ class TestExitCodes:
         assert "UndefinedEstimate" in capsys.readouterr().err
         assert not (tmp_path / "out" / "qte.csv").exists()
 
+    def test_subsample_as_large_as_the_input_is_config_error(self, tmp_path, capsys):
+        # the toy input has 20 rows; b is checked against them after the parse
+        assert run_estimate_rdd(tmp_path, **{"--b": "20"}) == 2
+        assert "b=20 not in (1, n) for n=20" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--B", "99"], "need at least 100 subsample draws"),
+        (["--b", "1"], "subsample size b must be at least 2"),
+        (["--ci-level", "1"], "ci_level must lie in (0, 1)"),
+        (["--omega", "0"], "omega must be positive"),
+        (["--q", "1.5"], "quantile level 1.5 outside (0, 1)"),
+    ])
+    def test_invalid_settings_are_config_errors(self, tmp_path, capsys, flags, message):
+        src = tmp_path / "missing.csv"
+        argv = ["estimate-rdd", "--input", str(src), "--q", "0.1", *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--design", "iv", "--reps", "1"], "simulate needs at least one sample size (--n)"),
+        (["--design", "iv", "--n", "300"], "simulate needs a positive replication count (--reps)"),
+        (["--n", "300", "--reps", "1"], "unknown simulated design None"),
+        (["--design", "rdd", "--n", "300", "--reps", "1", "--B", "50"],
+         "need at least 100 subsample draws"),
+    ])
+    def test_invalid_simulate_settings_are_config_errors(self, capsys, flags, message):
+        assert main(["simulate", "--q", "0.02", *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_bad_flag_value(self):
         assert main(["estimate-rdd", "--q", "abc"]) == 2
 
@@ -389,6 +419,15 @@ class TestSimulateCommand:
         assert main(argv) == 0
         cell = json.loads((out / "run.json").read_text())["_meta"]["cells"][0]
         assert (cell["n_used"], cell["n_failed"]) == (8, 0)
+
+    def test_subsample_as_large_as_a_sample_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--design", "iv", "--n", "1000", "300", "--q", "0.02",
+                "--reps", "1", "--b", "300", "--B", "100", "--out", str(out)]
+        with mock.patch("xqte.cli.run_mc", side_effect=AssertionError("replications ran")):
+            assert main(argv) == 2
+        assert "b=300 not in (1, n) for n=300" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_design_rejected(self, tmp_path):
         cfgfile = tmp_path / "c.json"

@@ -84,8 +84,14 @@ class TestSubsampleConfig:
         with pytest.raises(ValueError):
             cfg.validate(n)
 
-    def test_degenerate_hook_admits_full_sample(self):
-        assert SubsampleConfig(b=100, allow_degenerate=True).validate(100) == 100
+    def test_validate_without_sample_size(self):
+        # every rule but b < n holds without data
+        assert SubsampleConfig(b=150).validate() is None
+        assert SubsampleConfig(b=150).validate(200) == 150
+        for cfg in (SubsampleConfig(b=1), SubsampleConfig(draws=99),
+                    SubsampleConfig(ci_level=1.0), SubsampleConfig(max_failure_share=1.0)):
+            with pytest.raises(ValueError):
+                cfg.validate()
 
 
 class TestSubsamplingCi:
@@ -124,8 +130,9 @@ class TestFullSampleDegenerate:
     def test_draws_equal_point(self):
         data = direct_set(pareto(1, 200, 2.0), pareto(2, 200, 2.0, scale=2.0))
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
-        cfg = SubsampleConfig(b=data.n, draws=100, allow_degenerate=True)
-        tails = subsample_tail_pairs(pipe, cfg, draw_stream(3))
+        cfg = SubsampleConfig(b=data.n, draws=100)
+        # validate rejects b = n, so the draws are run directly
+        tails = TailDraws(*inference._frozen_draws(pipe, cfg, data.n, draw_stream(3)))
         assert tails.failed == 0
         assert np.all(tails.alphas[:, 0] == pipe.fit1.alpha_hat)
         assert np.all(tails.alphas[:, 1] == pipe.fit0.alpha_hat)
@@ -137,6 +144,52 @@ class TestFullSampleDegenerate:
         assert np.all(draws == point)
         ci = subsampling_ci(draws, point, cfg, pipe.data.design, data.n)
         assert ci.lo == point == ci.hi
+
+
+class TestIvReducesToDirect:
+    """With perfect compliance (z = d) and an intercept-only x, kappa
+    weighting is inverse-propensity weighting at the fitted share of
+    treated units, so the instrument design must reproduce the direct
+    design: the same thresholds, and indices, survivals, draws, points
+    and intervals within IDENTITY_RTOL. The two differ only through the
+    logit's Newton iterate and the order of the weighted sums; at n =
+    2 x 10^4 the relative gaps measure about 1e-13 at most."""
+
+    IDENTITY_RTOL = 1e-12
+
+    def make_pipes(self):
+        n = 20_000
+        rng = substream(48, n)
+        d = (rng.random(n) < 0.4).astype(np.int8)
+        # exact Pareto arms with index 3 and scales 2 (treated) and 1
+        y = np.where(d == 1, 2.0, 1.0) * (1.0 - rng.random(n)) ** (-1.0 / 3.0)
+        direct = ObservationSet(design="direct", y=y, d=d)
+        iv = ObservationSet(design="iv", y=y, d=d, z=d, x=np.ones((n, 1)))
+        return fit_pipeline(iv), fit_pipeline(direct)
+
+    def test_point_fits_agree(self):
+        iv, direct = self.make_pipes()
+        for a, b in ((iv.fit1, direct.fit1), (iv.fit0, direct.fit0)):
+            assert a.y_min == b.y_min
+            assert a.alpha_hat == pytest.approx(b.alpha_hat, rel=self.IDENTITY_RTOL)
+            assert a.s_min == pytest.approx(b.s_min, rel=self.IDENTITY_RTOL)
+
+    def test_draws_and_intervals_agree(self):
+        iv, direct = self.make_pipes()
+        cfg = SubsampleConfig(draws=200)
+        a = subsample_tail_pairs(iv, cfg, draw_stream(11))
+        b = subsample_tail_pairs(direct, cfg, draw_stream(11))
+        assert a.failed == b.failed
+        np.testing.assert_array_equal(a.thresholds, b.thresholds)
+        np.testing.assert_allclose(a.alphas, b.alphas, rtol=self.IDENTITY_RTOL, atol=0)
+        np.testing.assert_allclose(a.survivals, b.survivals, rtol=self.IDENTITY_RTOL, atol=0)
+        levels = [0.999, 0.9999]
+        ra = estimate_qte_batch(iv, levels, cfg, draw_stream(11))
+        rb = estimate_qte_batch(direct, levels, cfg, draw_stream(11))
+        for x, y in zip(ra, rb):
+            np.testing.assert_allclose([x.estimate, x.ci.lo, x.ci.hi],
+                                       [y.estimate, y.ci.lo, y.ci.hi],
+                                       rtol=self.IDENTITY_RTOL, atol=0)
 
 
 class TestDeterminism:

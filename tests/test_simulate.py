@@ -142,9 +142,13 @@ class TestConfigValidation:
             dict(good, q_list=(0.6,)),
             dict(good, q_list=()),
             dict(good, reps=0),
+            dict(good, subsample=SubsampleConfig(draws=99)),
+            # b must be below every sample size, not just the first
+            dict(good, n_list=(1000, 200), subsample=SubsampleConfig(b=200)),
         ):
             with pytest.raises(ValueError):
                 McConfig(**bad)
+        McConfig(**dict(good, n_list=(1000, 200), subsample=SubsampleConfig(b=199)))
 
 
 class TestRunMc:
