@@ -37,7 +37,6 @@ class SeparationDetected(EstimationError):
 @dataclass(frozen=True)
 class LogitModel:
     gamma: np.ndarray
-    converged: bool
     iterations: int
 
     def propensity(self, x: np.ndarray) -> np.ndarray:
@@ -88,7 +87,7 @@ def fit_logit(
         p = logistic(eta)
         grad = x.T @ (z - p) / n
         if np.max(np.abs(grad)) <= tol:
-            return LogitModel(gamma, True, it)
+            return LogitModel(gamma, it)
         if it == max_iter:
             break
         w = p * (1.0 - p)
@@ -121,7 +120,6 @@ class KappaCdfPair:
     beta0: StepCdf
     beta1: StepCdf
     denom: float
-    p_trim: float
 
 
 def kappa_weights(
@@ -169,9 +167,4 @@ def kappa_cdf(
     at_knot, sums = step_sums(ys, np.stack([w1[order], w0[order]]))
     vals1, vals0 = sums[:, at_knot] / (n * denom)
     knots = ys[at_knot]
-    return KappaCdfPair(
-        beta0=StepCdf(knots, vals0),
-        beta1=StepCdf(knots, vals1),
-        denom=denom,
-        p_trim=p_trim,
-    )
+    return KappaCdfPair(beta0=StepCdf(knots, vals0), beta1=StepCdf(knots, vals1), denom=denom)

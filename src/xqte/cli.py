@@ -74,6 +74,27 @@ class RunConfig:
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# (check, description) of what a --config file may hold for each field
+_FILE_VALUES = {
+    **dict.fromkeys(("input", "design"), (lambda v: v is None or isinstance(v, str),
+                                          "a string or null")),
+    **dict.fromkeys(("tail_side", "out"), (lambda v: isinstance(v, str), "a string")),
+    **dict.fromkeys(("B", "seed", "reps"), (_integer, "an integer")),
+    **dict.fromkeys(("omega", "ymin_level", "trim", "ci_level"), (_number, "a number")),
+    "b": (lambda v: v is None or _integer(v), "an integer or null"),
+    "q": (lambda v: isinstance(v, list) and all(map(_number, v)), "a list of numbers"),
+    "n": (lambda v: isinstance(v, list) and all(map(_integer, v)), "a list of integers"),
+}
+
+
 def _fmt(x: float) -> str:
     """17 significant digits: parses back to the identical float."""
     return format(float(x), ".17g")
@@ -150,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, the optional JSON config file, and explicit flags."""
+    """Merge defaults, the optional JSON config file (each value checked
+    against _FILE_VALUES), and explicit flags."""
     values: dict = {}
     if args.config:
         try:
@@ -170,6 +192,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
+        for name, value in raw.items():
+            ok, kind = _FILE_VALUES[name]
+            if not ok(value):
+                raise ConfigError(f"config field {name!r} must be {kind}, got {value!r}")
         values.update(raw)
     for name in _CONFIG_FIELDS:
         flag = getattr(args, name, None)
@@ -180,14 +206,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         values["design"] = "iv"
     elif args.command == "estimate-rdd":
         values["design"] = "rdd"
-    if values.get("q") is not None:
+    if "q" in values:
         values["q"] = tuple(float(v) for v in values["q"])
-    if values.get("n") is not None:
-        values["n"] = tuple(int(v) for v in values["n"])
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    if "n" in values:
+        values["n"] = tuple(values["n"])
+    return RunConfig(**values)
 
 
 def validate_config(cfg: RunConfig) -> tuple[EstimatorSettings, SubsampleConfig, McConfig | None]:
@@ -513,13 +536,7 @@ def write_run_json(path: Path, cfg: RunConfig, meta: dict) -> None:
 
 
 def _arm_summary(fit) -> dict:
-    return {
-        "alpha_hat": fit.alpha_hat,
-        "y_min": fit.y_min,
-        "s_min": fit.s_min,
-        "c_hat": fit.c_hat,
-        "shift": fit.shift,
-    }
+    return {k: getattr(fit, k) for k in ("alpha_hat", "y_min", "s_min", "c_hat", "shift")}
 
 
 def cmd_estimate(cfg: RunConfig, settings: EstimatorSettings, sub: SubsampleConfig) -> None:

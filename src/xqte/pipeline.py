@@ -18,14 +18,9 @@ import numpy as np
 from .cdf_iv import LogitModel, fit_logit, kappa_cdf
 from .cdf_rdd import arm_threshold, rdd_cdf, rot_bandwidth
 from .core import (
-    DegenerateDenominator,
-    ObservationSet,
-    StepCdf,
-    flip_outcomes,
-    step_sums,
-    tail_view,
+    DegenerateDenominator, ObservationSet, StepCdf, flip_outcomes, step_sums, tail_view
 )
-from .tail import TailFit, _scale_from, fit_tail, tail_index_rows
+from .tail import TailFit, fit_arm, fit_tail
 
 
 @dataclass(frozen=True)
@@ -103,43 +98,6 @@ def subset_cdfs(pipeline: FittedPipeline, idx: np.ndarray) -> tuple[StepCdf, Ste
     return _frozen_cdfs(pipeline.data.subset(idx), pipeline.settings, pipeline.logit)
 
 
-def _rdd_arm_tail(cdf: StepCdf, threshold: float, settings: EstimatorSettings) -> TailFit:
-    """Tail fit for one discontinuity arm at an externally chosen threshold.
-
-    The threshold survival is pinned at its nominal value 1 - ymin_level
-    instead of being read off the estimated CDF. The kernel-ratio CDF
-    carries first-stage noise of the same order as the tail
-    probabilities themselves, so its realized level at any fixed point
-    is the least reliable number on the curve, while the nominal level
-    is what the weighted-quantile threshold targets by construction.
-    The index still comes from the CDF's shape beyond the threshold.
-    When that shape is degenerate (no resolvable mass past the
-    threshold, or a nonpositive slope estimate) the arm falls back to
-    the flat-tail boundary, an infinite index, whose extrapolated
-    quantiles collapse to the threshold itself.
-    """
-    view = tail_view(cdf)
-    shift = 0.0
-    y_min = float(threshold)
-    if y_min <= 0.0:
-        shift = 1.0 - y_min
-        y_min = 1.0
-    s_min = 1.0 - settings.ymin_level
-    (alpha,), _ = tail_index_rows(
-        view.knots[None] + shift, view.values[None], True, np.array([y_min]), settings.omega
-    )
-    if not alpha > 0.0:
-        alpha = np.inf
-    return TailFit(
-        y_min=y_min,
-        omega=settings.omega,
-        alpha_hat=float(alpha),
-        c_hat=_scale_from(s_min, y_min, alpha),
-        s_min=s_min,
-        shift=shift,
-    )
-
-
 def fit_pipeline(
     data: ObservationSet,
     settings: EstimatorSettings | None = None,
@@ -158,7 +116,11 @@ def fit_pipeline(
     estimated CDF at all: each arm's threshold is the kernel-weighted
     quantile of that arm's outcomes near the cutoff (arm_threshold).
     Subsampling re-selects them per draw the same way, in its own
-    batched engine (inference.subsample_tail_pairs).
+    batched engine (inference.subsample_tail_pairs). Its threshold
+    survival is pinned at the nominal 1 - ymin_level, which the
+    weighted-quantile threshold targets by construction, rather than
+    read off the kernel-ratio CDF, whose first-stage noise is as large
+    as the tail probabilities themselves.
     """
     settings = settings or EstimatorSettings()
     if tail_side not in ("upper", "lower"):
@@ -172,8 +134,11 @@ def fit_pipeline(
         pair = rdd_cdf(data, h=h)
         cdf1, cdf0 = pair.beta1, pair.beta0
         meta = {"bandwidth": h, "first_stage_jump": pair.denom1}
-        fit1 = _rdd_arm_tail(cdf1, arm_threshold(data, 1, h, settings.ymin_level), settings)
-        fit0 = _rdd_arm_tail(cdf0, arm_threshold(data, 0, h, settings.ymin_level), settings)
+        s_min = 1.0 - settings.ymin_level
+        thr1, view1 = arm_threshold(data, 1, h, settings.ymin_level), tail_view(cdf1)
+        fit1 = fit_arm(view1, thr1, settings.omega, s_min)
+        thr0, view0 = arm_threshold(data, 0, h, settings.ymin_level), tail_view(cdf0)
+        fit0 = fit_arm(view0, thr0, settings.omega, s_min)
     else:
         meta = {}
         if data.design == "iv":
@@ -182,14 +147,5 @@ def fit_pipeline(
         cdf1, cdf0 = _frozen_cdfs(data, settings, logit)
         fit1 = fit_tail(tail_view(cdf1), level=settings.ymin_level, omega=settings.omega)
         fit0 = fit_tail(tail_view(cdf0), level=settings.ymin_level, omega=settings.omega)
-    return FittedPipeline(
-        data=data,
-        settings=settings,
-        tail_side=tail_side,
-        cdf1=cdf1,
-        cdf0=cdf0,
-        fit1=fit1,
-        fit0=fit0,
-        logit=logit,
-        meta=meta,
-    )
+    return FittedPipeline(data=data, settings=settings, tail_side=tail_side, cdf1=cdf1,
+                          cdf0=cdf0, fit1=fit1, fit0=fit0, logit=logit, meta=meta)

@@ -12,8 +12,9 @@ T the upper end of the positive-survival region. Over the full ray
 CDFs both integrals have closed forms segment by segment, so the fit
 needs no numerical integration. tail_index_rows is the one
 implementation of them: it fits many CDFs at once, one per row;
-pareto_index (a single CDF), the discontinuity arm fit and the
-subsample draws all call it.
+pareto_index (a single CDF) and the subsample draws call it. fit_arm
+fits one arm of any design at its threshold, shifting the outcomes
+first when the threshold is not positive.
 
 Quantiles at level close to 1 extrapolate along the fitted tail:
 y_min * (s(y_min) / (1 - level))^(1 / alpha_hat).
@@ -47,7 +48,8 @@ class InvalidAlpha(EstimationError):
 
 class ShiftMergesKnots(EstimationError):
     """The positivity shift rounds distinct knots onto the same value, so
-    the shifted CDF is no longer a step function of its knots."""
+    the shifted CDF is no longer a step function of its knots, or rounds
+    the threshold onto 0 (outcomes beyond 2^53 in magnitude)."""
 
 
 @dataclass(frozen=True)
@@ -156,33 +158,37 @@ def _row_sums(seg: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def pareto_index(cdf: StepCdf, y_min: float, omega: float = 1.0) -> TailFit:
-    """Closed-form tail-index fit on a step CDF above a positive threshold:
-    the one-row case of tail_index_rows.
+def pareto_index(
+    cdf: StepCdf, y_min: float, omega: float = 1.0, s_min: float | None = None
+) -> TailFit:
+    """Closed-form tail-index fit on a step CDF above a threshold: the
+    one-row case of tail_index_rows, from the last knot below the
+    threshold on.
 
-    The row starts at the last knot below the threshold, which sets the
-    threshold survival. A nonpositive alpha_hat is returned rather than
-    raised; quantile extrapolation rejects it.
+    Without s_min the threshold must be positive, no survival at it or
+    nothing to fit beyond it raises, and a nonpositive alpha_hat is
+    returned as it is (quantile extrapolation rejects it). Given s_min,
+    the threshold survival is pinned at it, and nothing to fit or an
+    index at or below 0 gives the flat tail alpha_hat = inf, which
+    extrapolates to the threshold itself.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    if y_min <= 0.0:
+    if s_min is None and y_min <= 0.0:
         raise ValueError("threshold must be positive; shift outcomes first")
     start = max(int(np.searchsorted(cdf.knots, y_min)) - 1, 0)
-    (alpha,), (s_min,) = tail_index_rows(
+    (alpha,), (realized,) = tail_index_rows(
         cdf.knots[None, start:], cdf.values[None, start:], True, np.array([y_min]), omega
     )
-    if s_min <= 0.0:
-        raise NonPositiveSurvival(f"survival at threshold {y_min:g} is {s_min:.3e}")
-    if np.isnan(alpha):
+    if s_min is not None:
+        alpha = alpha if alpha > 0.0 else np.inf
+    elif realized <= 0.0:
+        raise NonPositiveSurvival(f"survival at threshold {y_min:g} is {realized:.3e}")
+    elif np.isnan(alpha):
         raise EmptyTail(f"no resolvable positive survival beyond threshold {y_min:g}")
-    return TailFit(
-        y_min=float(y_min),
-        omega=float(omega),
-        alpha_hat=float(alpha),
-        c_hat=_scale_from(float(s_min), y_min, alpha),
-        s_min=float(s_min),
-    )
+    s_min = float(realized if s_min is None else s_min)
+    return TailFit(y_min=float(y_min), omega=float(omega), alpha_hat=float(alpha),
+                   c_hat=_scale_from(s_min, y_min, alpha), s_min=s_min)
 
 
 def _scale_from(s_min: float, y_min: float, alpha: float) -> float:
@@ -192,32 +198,40 @@ def _scale_from(s_min: float, y_min: float, alpha: float) -> float:
         return float(s_min * np.float64(y_min) ** np.float64(alpha))
 
 
-def fit_tail(view: StepCdf, level: float = 0.975, omega: float = 1.0) -> TailFit:
-    """Fit the tail of a proper-CDF view (core.tail_view) above its first
-    knot where the view reaches level.
+def fit_arm(
+    view: StepCdf, y_min: float, omega: float = 1.0, s_min: float | None = None
+) -> TailFit:
+    """Fit one arm's tail on its proper-CDF view (core.tail_view) above
+    the threshold y_min; s_min pins the threshold survival as in
+    pareto_index.
 
-    Positivity protocol: the fit needs y_min > 0, so when that threshold
-    is at or below zero all knots are shifted up until the threshold
-    sits at 1.0, the fit runs there, and the shift is recorded on the
+    Positivity protocol: the fit needs y_min > 0, so when the threshold
+    is at or below zero all knots and the threshold are shifted up by
+    1 - y_min, the fit runs there, and the shift is recorded on the
     TailFit so quantiles map back. Treatment-effect differences are
     unaffected by the shift. A shift so large that it rounds two knots
-    onto one value raises ShiftMergesKnots.
+    onto one value, or the threshold onto 0, raises ShiftMergesKnots.
     """
+    if y_min > 0.0:
+        return pareto_index(view, y_min, omega, s_min)
+    shift = 1.0 - y_min
+    knots = view.knots + shift
+    if not (y_min + shift > 0.0 and np.all(np.diff(knots) > 0.0)):
+        raise ShiftMergesKnots(
+            f"shifting the outcomes by {shift:.6g} to make the threshold positive "
+            "rounds the threshold onto 0 or merges adjacent knots"
+        )
+    fit = pareto_index(StepCdf(knots, view.values), y_min + shift, omega, s_min)
+    return replace(fit, shift=shift)
+
+
+def fit_tail(view: StepCdf, level: float = 0.975, omega: float = 1.0) -> TailFit:
+    """Fit the tail of a proper-CDF view (core.tail_view) above its first
+    knot where the view reaches level, with fit_arm."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     # a view is nondecreasing and ends at exactly 1, so level is reached
-    y_min = float(view.knots[np.searchsorted(view.values, level)])
-    if y_min <= 0.0:
-        delta = 1.0 - y_min
-        knots = view.knots + delta
-        if not np.all(np.diff(knots) > 0.0):
-            raise ShiftMergesKnots(
-                f"shifting the outcomes by {delta:.6g} to make the threshold positive "
-                "merges adjacent knots"
-            )
-        fit = pareto_index(StepCdf(knots, view.values), y_min + delta, omega)
-        return replace(fit, shift=delta)
-    return pareto_index(view, y_min, omega)
+    return fit_arm(view, float(view.knots[np.searchsorted(view.values, level)]), omega)
 
 
 def extrapolated_quantiles(

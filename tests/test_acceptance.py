@@ -172,7 +172,7 @@ def test_reference_implementations_agree(capsys):
     z = (rng.random(n) < 0.5).astype(int)
     y = rng.standard_normal(n)
     data = ObservationSet(design="iv", y=y, d=z, z=z, x=np.ones((n, 1)))
-    known_p = LogitModel(gamma=np.zeros(1), converged=True, iterations=0)
+    known_p = LogitModel(gamma=np.zeros(1), iterations=0)
     pair = kappa_cdf(data, known_p, p_trim=0.0)
     treated = np.sort(y[z == 1])
     ecdf_vals = np.searchsorted(treated, pair.beta1.knots, side="right") / treated.size

@@ -269,6 +269,42 @@ class TestExitCodes:
         assert code == 2
         assert "estimate-rdd" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, fields, message", [
+        ("simulate", {"design": "iv", "n": [300], "reps": "1", "q": [0.025]},
+         "config field 'reps' must be an integer, got '1'"),
+        ("estimate-rdd", {"B": "500"}, "config field 'B' must be an integer, got '500'"),
+        ("estimate-rdd", {"q": 0.025}, "config field 'q' must be a list of numbers, got 0.025"),
+        ("estimate-rdd", {"b": 2.5}, "config field 'b' must be an integer or null, got 2.5"),
+        ("estimate-rdd", {"omega": True}, "config field 'omega' must be a number, got True"),
+    ], ids=["reps-text", "B-text", "q-scalar", "b-fraction", "omega-bool"])
+    def test_mistyped_config_values_are_config_errors(
+        self, tmp_path, capsys, command, fields, message
+    ):
+        src = tmp_path / "toy.csv"
+        write_rdd_toy(src)
+        cfgfile = tmp_path / "c.json"
+        base = {} if command == "simulate" else {"input": str(src), "q": [0.1], "B": 120}
+        cfgfile.write_text(json.dumps({**base, **fields}))
+        argv = [command, "--config", str(cfgfile), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_discontinuity_shift_that_merges_knots_is_estimation_error(self, tmp_path, capsys):
+        # most outcomes near -1e20 put both arm thresholds there; shifting
+        # them positive rounds every outcome in (0, 1) onto one value
+        rng = substream(0, 0)
+        base = gen_rdd(rng, 4000).data
+        far = rng.random(4000) < 0.988
+        y = np.where(far, -1e20 - rng.uniform(0.0, 1e5, 4000), rng.random(4000))
+        src = tmp_path / "far.csv"
+        np.savetxt(src, np.column_stack([y, base.d, base.r]), fmt="%.17g",
+                   delimiter=",", header="y,d,r", comments="")
+        argv = ["estimate-rdd", "--input", str(src), "--tail-side", "upper",
+                "--q", "0.98", "--out", str(tmp_path / "out")]
+        assert main(argv) == 4
+        assert "estimation error (ShiftMergesKnots)" in capsys.readouterr().err
+
     def test_interior_target_is_estimation_error(self, tmp_path, capsys):
         src = tmp_path / "toy.csv"
         write_rdd_toy(src)

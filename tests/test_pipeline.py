@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from xqte.cdf_rdd import rdd_cdf, rot_bandwidth
+from xqte.cdf_rdd import arm_threshold, rdd_cdf, rot_bandwidth
 from xqte.core import DegenerateDenominator, ObservationSet, evaluate, substream
 from xqte.inference import estimate_qte_batch
 from xqte.pipeline import EstimatorSettings, ecdf, fit_pipeline, subset_cdfs
-from xqte.tail import extrapolated_quantiles
+from xqte.simulate import gen_rdd
+from xqte.tail import ShiftMergesKnots, extrapolated_quantiles
 
 
 def direct_set(y0, y1):
@@ -190,3 +191,30 @@ class TestRddPipeline:
         # discontinuity draws are refitted in inference, not here
         with pytest.raises(ValueError):
             subset_cdfs(pipe, np.arange(data.n))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shifted_threshold_is_the_arm_threshold_plus_the_shift(self, seed):
+        # the draws put each arm's threshold at thr + shift
+        # (inference._rdd_draws); the full-sample fit must sit on the same
+        # point, not at exactly 1.0
+        base = gen_rdd(substream(seed, 0), 10**4).data
+        data = ObservationSet(design="rdd", y=base.y - 7.0, d=base.d, r=base.r)
+        pipe = fit_pipeline(data)
+        level = pipe.settings.ymin_level
+        for arm, fit in ((1, pipe.fit1), (0, pipe.fit0)):
+            thr = arm_threshold(pipe.data, arm, pipe.meta["bandwidth"], level)
+            assert thr <= 0.0 and fit.shift == 1.0 - thr
+            assert fit.y_min == thr + fit.shift
+            assert fit.s_min == 1.0 - level
+
+    def test_shift_that_merges_knots_is_an_estimation_error(self):
+        # 98.8% of the outcomes sit near -1e20, and so do both arm
+        # thresholds; shifting by about 1e20 rounds every outcome in
+        # (0, 1) onto the same value
+        rng = substream(0, 0)
+        base = gen_rdd(rng, 4000).data
+        far = rng.random(4000) < 0.988
+        y = np.where(far, -1e20 - rng.uniform(0.0, 1e5, 4000), rng.random(4000))
+        data = ObservationSet(design="rdd", y=y, d=base.d, r=base.r)
+        with pytest.raises(ShiftMergesKnots):
+            fit_pipeline(data)

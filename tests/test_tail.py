@@ -15,6 +15,7 @@ from xqte.tail import (
     ShiftMergesKnots,
     TailFit,
     extrapolated_quantiles,
+    fit_arm,
     fit_tail,
     pareto_index,
     qte_point,
@@ -194,6 +195,30 @@ def test_pareto_index_negative_alpha_flagged_not_raised():
         qte_point(fit, fit, 0.9999)
     with pytest.raises(InvalidAlpha):
         extrapolated_quantiles(fit, 0.9999, [fit.alpha_hat])
+
+
+def test_pareto_index_pinned_survival_keeps_the_index():
+    # the index still comes from the shape beyond the threshold; only the
+    # recorded survival and the scale follow the pinned value
+    cdf = StepCdf(np.array([2.0, 4.0]), np.array([0.75, 1.0]))
+    free = pareto_index(cdf, y_min=1.5, omega=1.0)
+    pinned = pareto_index(cdf, y_min=1.5, omega=1.0, s_min=0.4)
+    assert pinned.alpha_hat == free.alpha_hat
+    assert pinned.s_min == 0.4 and free.s_min == 1.0
+    assert pinned.c_hat == 0.4 * 1.5**free.alpha_hat
+
+
+@pytest.mark.parametrize("knots, values, y_min", [
+    ([1.0, 2.0], [0.5, 1.0], 2.0),  # nothing beyond the threshold
+    ([1.0, 2.0], [1.0, 1.0], 1.5),  # no survival at the threshold
+    ([1.0, 2.0, 3.0], [0.5, 0.3, 1.0], 2.0),  # negative index
+    ([1.0, 2.0], [0.5, 1.0], 0.0),  # threshold not positive
+])
+def test_pareto_index_pinned_survival_falls_back_to_the_flat_tail(knots, values, y_min):
+    fit = pareto_index(StepCdf(np.array(knots), np.array(values)), y_min, s_min=0.1)
+    assert fit.alpha_hat == np.inf and fit.s_min == 0.1
+    # the flat tail extrapolates to the threshold itself
+    assert extrapolated_quantiles(fit, 0.9, [fit.alpha_hat])[0] == y_min
 
 
 @st.composite
@@ -403,6 +428,23 @@ def test_fit_tail_shift_protocol_on_nonpositive_threshold():
     q_orig = quantile(fit, 0.999)
     q_shifted_scale = fit.y_min * (fit.s_min / 0.001) ** (1.0 / fit.alpha_hat)
     assert q_orig == pytest.approx(q_shifted_scale - fit.shift)
+
+
+def test_fit_arm_shifts_threshold_and_knots_alike():
+    # a pinned survival rides along the shift; the threshold lands on
+    # y_min + (1 - y_min), which need not be exactly 1.0
+    cdf = StepCdf(np.array([-0.3, 0.2, 0.9]), np.array([0.5, 0.9, 1.0]))
+    y_min = -0.3
+    fit = fit_arm(cdf, y_min, s_min=0.1)
+    assert fit.shift == 1.0 - y_min and fit.y_min == y_min + fit.shift
+    manual = pareto_index(cdf.shifted(fit.shift), fit.y_min, s_min=0.1)
+    assert (fit.alpha_hat, fit.s_min, fit.c_hat) == (manual.alpha_hat, 0.1, manual.c_hat)
+    # beyond 2^53 the 1 in 1 - y_min is lost, and the threshold lands on
+    # 0 although no knots merge
+    far = StepCdf(np.array([-1e17, -1e17 + 64.0, -1e17 + 128.0]), np.array([0.5, 0.9, 1.0]))
+    for pinned in (None, 0.1):
+        with pytest.raises(ShiftMergesKnots):
+            fit_arm(far, -1e17, s_min=pinned)
 
 
 def test_fit_tail_shift_that_merges_knots_is_an_estimation_error():
