@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -28,8 +27,6 @@ from .core import (
     ObservationSet,
     StepCdf,
     evaluate,
-    fork_map,
-    fork_workers,
     substream,
     tail_view,
 )
@@ -247,10 +244,6 @@ def validate_config(cfg: RunConfig) -> tuple[EstimatorSettings, SubsampleConfig,
 # to the row loop
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _SCAN_BLOCK = 1 << 20
-# the fewest body bytes one forked worker parses in _load_plain: a body
-# shorter than twice this is parsed in this process (end to end on two
-# CPUs, split bodies of 4.5 and 6.8 MB were no faster and cost more CPU)
-PARSE_BLOCK_BYTES = 1 << 22
 
 
 def read_estimation_csv(path: str, design: str) -> ObservationSet:
@@ -299,20 +292,16 @@ def _columns(table: np.ndarray, design: str) -> dict[str, np.ndarray]:
 
 
 def _load_plain(path: str, design: str) -> dict[str, np.ndarray] | None:
-    """The data columns (see _columns) when the header is valid and the
+    """The data columns (see _columns) when the header is valid, the
     body holds only digits, signs, points, exponents, commas and
-    newlines, and every row passes the schema; None otherwise.
-
-    The body is parsed whole in this process or, when it is long enough,
-    in one line-aligned byte range per worker (core.fork_map), each at
-    least PARSE_BLOCK_BYTES long. Workers send back columns, which are
-    joined here in file order."""
+    newlines, and every row parses, has one field per header column, is
+    finite and has d and z in {0, 1}; None otherwise."""
     try:
         fh = open(path, "rb")
     except OSError:
         return None
     with fh:
-        # a pipe cannot be read twice, nor split: the row loop reads it
+        # a pipe cannot be read twice: the row loop reads it
         if not fh.seekable():
             return None
         first = fh.readline()
@@ -326,7 +315,6 @@ def _load_plain(path: str, design: str) -> dict[str, np.ndarray] | None:
             return None
         if _header_problem(header, design) is not None:
             return None
-        start = fh.tell()
         has_rows = False
         while block := fh.read(_SCAN_BLOCK):
             if block.translate(None, _PLAIN_BYTES):
@@ -334,65 +322,19 @@ def _load_plain(path: str, design: str) -> dict[str, np.ndarray] | None:
             has_rows = has_rows or block.count(b"\n") < len(block)
         if not has_rows:
             return None
-        end = fh.tell()
-        workers = fork_workers((end - start) // PARSE_BLOCK_BYTES)
-        tasks = [(path, design, len(header))]
-        if workers > 1:
-            # each range after the first starts on the line after its
-            # even share of the body begins
-            bounds = [start]
-            for k in range(1, workers):
-                fh.seek(start + (end - start) * k // workers)
-                fh.readline()
-                bounds.append(max(fh.tell(), bounds[-1]))
-            bounds.append(end)
-            tasks = [(path, design, len(header), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    parts = fork_map(_parse_block, tasks)
-    if any(part is None for part in parts):
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    # popping lets each block's column go as soon as it is joined
-    return {name: np.concatenate([part.pop(name) for part in parts]) for name in list(parts[0])}
-
-
-def _parse_block(path: str, design: str, ncol: int, start: int | None = None,
-                 end: int | None = None) -> dict[str, np.ndarray] | None:
-    """_columns of the rows of path's body, or of bytes start to end of
-    path, a range of whole lines of plain bytes; None when a row does not
-    parse, has other than ncol fields, is not finite or has d or z
-    outside {0, 1}."""
-    options = dict(delimiter=",", comments=None, ndmin=2, dtype=float, encoding="utf-8")
     try:
-        if start is None:
-            # np.loadtxt skips empty lines itself, and reads a path
-            # faster than a file object or a generator of its lines
-            table = np.loadtxt(path, skiprows=1, **options)
-        else:
-            with open(path, "rb") as fh:
-                fh.seek(start)
-                lines = _nonblank_lines(fh, end - start)
-                first = next(lines, None)
-                if first is None:
-                    return _columns(np.empty((0, ncol)), design)
-                table = np.loadtxt(itertools.chain([first], lines), **options)
+        # np.loadtxt skips empty lines itself, and reads a path faster
+        # than a file object or a generator of its lines
+        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2,
+                           dtype=float, encoding="utf-8")
     except ValueError:
         return None
-    if table.shape[1] != ncol or not np.isfinite(table).all():
+    if table.shape[1] != len(header) or not np.isfinite(table).all():
         return None
     binary = table[:, 1:3] if design == "iv" else table[:, 1:2]
     if not ((binary == 0.0) | (binary == 1.0)).all():
         return None
     return _columns(table, design)
-
-
-def _nonblank_lines(fh, size: int):
-    """The lines in the next size bytes of fh, without the empty ones
-    (plain bytes hold no other whitespace), which the row loop skips."""
-    while size > 0 and (line := fh.readline()):
-        size -= len(line)
-        if line != b"\n":
-            yield line
 
 
 def _read_rows(path: str, design: str) -> np.ndarray:
@@ -515,8 +457,12 @@ def write_table_csv(path: Path, report: McReport) -> None:
 
 
 def _jsonable(value):
+    """value with numpy scalars and arrays as Python numbers and lists,
+    and every non-finite float as None, which JSON writes as null."""
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -527,11 +473,13 @@ def _jsonable(value):
 
 
 def write_run_json(path: Path, cfg: RunConfig, meta: dict) -> None:
-    """Resolved configuration plus run facts. The file doubles as a
-    --config payload: the loader ignores _meta and checks command."""
+    """Resolved configuration plus run facts, in strict JSON: a
+    non-finite value is written as null (a flat-tail arm's alpha_hat and
+    c_hat). The file doubles as a --config payload: the loader ignores
+    _meta and checks command."""
     payload = _jsonable({**dataclasses.asdict(cfg), "_meta": meta})
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -267,18 +267,18 @@ def _wrapped_from_outside() -> bool:
 FORK_MIN_ROWS = 2**19
 
 
-def fork_workers(tasks: int, rows: int | None = None) -> int:
+def fork_workers(tasks: int, rows: int) -> int:
     """How many forked workers fork_map runs a list of tasks on, given
-    its length: one per usable CPU (the CPUs this process may run on), at
-    most one per task, and 1 for work of fewer than FORK_MIN_ROWS rows,
-    which then never imports multiprocessing (the CSV parse passes no
-    rows but the byte blocks its body is worth). It is also 1 without the
-    fork start method, inside a pool worker (a daemon process, which may
-    not fork), while another Python thread is alive (a forked child
-    inherits the locks that thread holds and can deadlock on them) and
-    when a function has been wrapped at run time (_wrapped_from_outside)."""
+    its length and the rows its work touches: one per usable CPU (the
+    CPUs this process may run on), at most one per task, and 1 for work
+    of fewer than FORK_MIN_ROWS rows, which then never imports
+    multiprocessing. It is also 1 without the fork start method, inside a
+    pool worker (a daemon process, which may not fork), while another
+    Python thread is alive (a forked child inherits the locks that thread
+    holds and can deadlock on them) and when a function has been wrapped
+    at run time (_wrapped_from_outside)."""
     workers = min(_usable_cpus(), tasks)
-    if workers < 2 or (rows is not None and rows < FORK_MIN_ROWS):
+    if workers < 2 or rows < FORK_MIN_ROWS:
         return 1
     import multiprocessing
     import threading
@@ -307,7 +307,7 @@ def _run_task(i: int):
     return fn(*tasks[i])
 
 
-def fork_map(fn: Callable, tasks: Sequence[tuple], rows: int | None = None) -> list:
+def fork_map(fn: Callable, tasks: Sequence[tuple], rows: int) -> list:
     """[fn(*task) for task in tasks], in task order, on a pool of
     fork_workers(len(tasks), rows) forked processes, which is shut down and
     joined before this returns or raises. fn and the tasks reach the

@@ -155,7 +155,7 @@ def subsample_tail_pairs(
     bounds = [cfg.draws * k // workers for k in range(workers + 1)]
     parts = fork_map(_rdd_draws if rdd else _frozen_draws, [
         (pipeline, cfg, b, rng_for_draw, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
-    ])
+    ], b * cfg.draws)
     if rdd:
         alphas, thresholds, failed_draws = map(np.concatenate, zip(*parts))
         alphas, thresholds = alphas[~failed_draws], thresholds[~failed_draws]

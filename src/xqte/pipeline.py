@@ -39,6 +39,8 @@ class EstimatorSettings:
     def __post_init__(self):
         if self.omega <= 0:
             raise ValueError("omega must be positive")
+        if not np.isfinite(self.omega):
+            raise ValueError("omega must be finite")
         if not 0.0 < self.ymin_level < 1.0:
             raise ValueError("ymin_level must lie in (0, 1)")
         if not 0.0 <= self.trim < 0.5:

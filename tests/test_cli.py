@@ -37,6 +37,19 @@ def write_iv_toy(path, n=60):
     path.write_text("\n".join(rows) + "\n")
 
 
+def write_gen_csv(path, design, n, stream):
+    """An input CSV of the simulation design's n rows at seed 1 and the
+    given substream."""
+    if design == "iv":
+        data = gen_iv(substream(1, stream), n).data
+        header = ",".join(["y", "d", "z"] + [f"x{i}" for i in range(1, data.x.shape[1] + 1)])
+        table = np.column_stack([data.y, data.d, data.z, data.x])
+    else:
+        data = gen_rdd(substream(1, stream), n).data
+        header, table = "y,d,r", np.column_stack([data.y, data.d, data.r])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
 def run_estimate_rdd(tmp_path, out="out", **overrides):
     src = tmp_path / "toy.csv"
     if not src.exists():
@@ -133,6 +146,27 @@ class TestEstimateRdd:
         differing = {k for k in a if a[k] != b[k]}
         assert differing == {"out"}
 
+    @pytest.mark.parametrize("side, q", [("lower", "0.02"), ("upper", "0.98")])
+    def test_flat_tail_arm_writes_strict_json(self, tmp_path, side, q):
+        # on this sample arm 1's tail is flat at both sides: its index and
+        # scale are infinite and must be written as null, not Infinity
+        src = tmp_path / "rdd.csv"
+        write_gen_csv(src, "rdd", 10_000, 1)
+        out = tmp_path / "out"
+        argv = ["estimate-rdd", "--input", str(src), "--q", q, "--tail-side", side,
+                "--out", str(out)]
+        assert main(argv) == 0
+        run = json.loads((out / "run.json").read_text(),
+                         parse_constant=lambda name: pytest.fail(f"{name} in run.json"))
+        arm1, arm0 = run["_meta"]["arm1"], run["_meta"]["arm0"]
+        assert arm1["alpha_hat"] is None and arm1["c_hat"] is None
+        assert all(isinstance(v, float) for v in arm0.values())
+        names = ("cdf.csv", "paretofit.csv", "qte.csv", "run.json")
+        first = {name: (out / name).read_bytes() for name in names}
+        # the replay writes into the same --out, taken from the file
+        assert main(["estimate-rdd", "--config", str(out / "run.json")]) == 0
+        assert {name: (out / name).read_bytes() for name in names} == first
+
     def test_flag_overrides_config_file(self, tmp_path):
         assert run_estimate_rdd(tmp_path) == 0
         argv = ["estimate-rdd", "--config", str(tmp_path / "out" / "run.json"),
@@ -179,19 +213,22 @@ def test_cli_start_leaves_out_multiprocessing(tmp_path):
     # only work worth a pool starts worker processes; importing the CLI,
     # asking a command for its help or estimating on a 2 MB file of 10^4
     # rows at the default b and B (631 x 500 = 315,500 subset rows, under
-    # core.FORK_MIN_ROWS) must not pay for the import
-    iv, rdd = gen_iv(substream(1, 0), 10_000).data, gen_rdd(substream(1, 1), 10_000).data
-    header = ",".join(["y", "d", "z"] + [f"x{i}" for i in range(1, iv.x.shape[1] + 1)])
-    np.savetxt(tmp_path / "iv.csv", np.column_stack([iv.y, iv.d, iv.z, iv.x]), fmt="%.17g",
-               delimiter=",", header=header, comments="")
-    np.savetxt(tmp_path / "rdd.csv", np.column_stack([rdd.y, rdd.d, rdd.r]), fmt="%.17g",
-               delimiter=",", header="y,d,r", comments="")
+    # core.FORK_MIN_ROWS) must not pay for the import, and the CSV parse
+    # never forks, however long the file and however many CPUs are free
+    write_gen_csv(tmp_path / "iv.csv", "iv", 10_000, 0)
+    write_gen_csv(tmp_path / "rdd.csv", "rdd", 10_000, 1)
+    large = tmp_path / "iv4e4.csv"
+    write_gen_csv(large, "iv", 40_000, 0)
+    assert large.stat().st_size > 8 << 20
     estimates = [[f"estimate-{design}", "--input", str(tmp_path / f"{design}.csv"),
                   "--q", "0.02", "--out", str(tmp_path / design)] for design in ("iv", "rdd")]
     codes = ["import sys, xqte.cli; sys.exit('multiprocessing' in sys.modules)"]
     for argv in (["simulate", "--help"], ["estimate-iv", "--help"], *estimates):
         codes.append(f"import sys; from xqte.cli import main; main({argv!r}); "
                      "sys.exit('multiprocessing' in sys.modules)")
+    codes.append("import sys; from xqte import cli, core; core._usable_cpus = lambda: 2; "
+                 f"assert cli.read_estimation_csv({str(large)!r}, 'iv').n == 40_000; "
+                 "sys.exit('multiprocessing' in sys.modules)")
     for code in codes:
         assert run_python(code) == 0
     for design in ("iv", "rdd"):

@@ -3,24 +3,20 @@
 read_estimation_csv parses a body of plain numbers with array operations
 and sends every other file through its row loop. The row loop is the
 oracle: on any text the two must return bitwise-equal arrays or raise
-DataError with the same message, however the body is split into blocks.
-A long body is parsed in blocks on forked workers (core.fork_map); the
-arrays must not depend on the worker count.
+DataError with the same message.
 """
 
 import io
 import math
-import multiprocessing
 import os
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xqte import cli, core
+from xqte import cli
 from xqte.cli import DataError, read_cdf_csv, read_estimation_csv, write_cdf_csv
 from xqte.core import StepCdf
 
@@ -103,22 +99,12 @@ def csv_text(draw):
     return design, text
 
 
-def split_in_process(m, blocks):
-    """_load_plain's body split into up to blocks byte ranges, however
-    short, parsed one after another in this process."""
-    m.setattr(cli, "PARSE_BLOCK_BYTES", 1)
-    m.setattr(cli, "fork_workers", lambda tasks: max(1, min(tasks, blocks)))
-    m.setattr(cli, "fork_map", lambda fn, tasks: [fn(*task) for task in tasks])
-
-
-def read_both(path, design, monkeypatch, blocks=1):
+def read_both(path, design, monkeypatch):
     outcomes = []
     for row_loop in (False, True):
         with monkeypatch.context() as m:
             if row_loop:
                 m.setattr(cli, "_load_plain", lambda path, design: None)
-            else:
-                split_in_process(m, blocks)
             try:
                 data = read_estimation_csv(str(path), design)
             except DataError as exc:
@@ -132,12 +118,12 @@ def read_both(path, design, monkeypatch, blocks=1):
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=csv_text(), blocks=st.integers(1, 4))
-def test_array_reader_matches_row_loop(tmp_path, monkeypatch, case, blocks):
+@given(case=csv_text())
+def test_array_reader_matches_row_loop(tmp_path, monkeypatch, case):
     design, text = case
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("utf-8"))
-    fast, oracle = read_both(path, design, monkeypatch, blocks)
+    fast, oracle = read_both(path, design, monkeypatch)
     assert fast == oracle
 
 
@@ -153,7 +139,8 @@ def test_plain_file_takes_the_array_path(tmp_path, monkeypatch):
 
 
 def test_a_pipe_is_read_by_the_row_loop(tmp_path):
-    # a pipe can be read once only, and not split
+    # a pipe can be read once only, so the array path, which scans the
+    # body before it parses it, leaves it to the row loop
     text = "y,d,r\n1.5,1,0.25\n\n-2,0,-0.5\n"
     path = tmp_path / "in.csv"
     path.write_text(text)
@@ -167,122 +154,6 @@ def test_a_pipe_is_read_by_the_row_loop(tmp_path):
     data = read_estimation_csv(str(path), "rdd")
     for name in ("y", "d", "r"):
         assert getattr(piped, name).tobytes() == getattr(data, name).tobytes()
-
-
-ROW = "1.5,0,1,2.5,3.5\n"  # 16 bytes, an iv row with k = 2
-
-# (body, blocks, whether each block parses): the body is split at the
-# line after each even share of it
-SPLIT_CASES = {
-    # bytes 48-51 are blank lines; the second block starts at byte 51
-    "blank lines at a split": (ROW * 3 + "\n" * 4 + ROW * 3, 2, [True, True]),
-    # the middle block holds blank lines only
-    "a block of blank lines": (ROW + "\n" * 40 + ROW, 3, [True, True, True]),
-    "a last block of blank lines": (ROW * 2 + "\n" * 40, 2, [True, True]),
-    "a missing final newline": (ROW * 4 + ROW[:-1], 2, [True, True]),
-    "a ragged row in the second block": (ROW * 4 + "1.5,0,1,2.5\n" + ROW, 2, [True, False]),
-    "a block with the wrong column count": (ROW * 3 + "1.5,0,1,2.5\n" * 3, 2, [True, False]),
-    "a z outside {0, 1} in the second block": (ROW * 4 + "1.5,0,0.5,2.5,3.5\n", 2, [True, False]),
-    "an overflow in the second block": (ROW * 4 + "1.5,0,1,2.5,1e999\n", 2, [True, False]),
-}
-
-
-@pytest.mark.parametrize("name", SPLIT_CASES)
-def test_split_bodies_match_the_row_loop(name, tmp_path, monkeypatch):
-    body, blocks, parses = SPLIT_CASES[name]
-    path = tmp_path / "in.csv"
-    path.write_text("y,d,z,x1,x2\n" + body)
-    raw = path.read_bytes()
-    ranges = []
-    parse = cli._parse_block
-
-    def spy(path, design, ncol, start=None, end=None):
-        out = parse(path, design, ncol, start, end)
-        ranges.append((start, end, out is not None))
-        return out
-
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_parse_block", spy)
-        fast, oracle = read_both(path, "iv", m, blocks)
-    assert fast == oracle
-    assert (fast[0] == "data") == all(parses)
-    # whole lines, in file order, covering the body
-    assert [r[2] for r in ranges] == parses
-    assert ranges[0][0] == len("y,d,z,x1,x2\n") and ranges[-1][1] == len(raw)
-    assert all(a[1] == b[0] and raw[b[0] - 1:b[0]] == b"\n" for a, b in zip(ranges, ranges[1:]))
-
-
-def logged_blocks(log_dir, parse):
-    """_parse_block's parse, leaving a file "<pid>-<first byte>" in
-    log_dir on each call (0 for the whole body), so that calls made on
-    forked workers are seen here."""
-    def run(path, design, ncol, *span):
-        (log_dir / f"{os.getpid()}-{span[0] if span else 0}").touch()
-        return parse(path, design, ncol, *span)
-
-    return run
-
-
-def block_pids(log_dir):
-    """The pid of each logged call, in block order; the log is emptied."""
-    calls = []
-    for path in log_dir.iterdir():
-        calls.append(tuple(int(v) for v in path.name.split("-")))
-        path.unlink()
-    return [pid for pid, _ in sorted(calls, key=lambda call: call[1])]
-
-
-@pytest.mark.parametrize("design", ["iv", "rdd"])
-def test_reader_gives_the_same_arrays_on_forked_workers(design, tmp_path):
-    rng = np.random.default_rng(4)
-    n = 40
-    cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n), rng.integers(0, 2, n)]
-    if design == "iv":
-        cols += [rng.integers(0, 2, n), rng.standard_normal((n, 3))]
-        header = "y,d,z,x1,x2,x3"
-    else:
-        cols.append(rng.standard_normal(n))
-        header = "y,d,r"
-    path = tmp_path / "in.csv"
-    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",", header=header,
-               comments="")
-    body = path.stat().st_size - len(header) - 1
-    fields = ("y", "d", "z", "x") if design == "iv" else ("y", "d", "r")
-    one = read_estimation_csv(str(path), design)
-    assert one.d.dtype == np.int8 and one.y.tobytes() == cols[0].tobytes()
-    log = tmp_path / "log"
-    log.mkdir()
-    # block sizes at the edges where the body makes 3, 2 and 1 blocks
-    for block_bytes, blocks in ((body // 3, 3), (body // 3 + 1, 2), (body // 2, 2),
-                                (body // 2 + 1, 1)):
-        for cpus in (1, 2, 3):
-            with mock.patch.object(core, "_usable_cpus", return_value=cpus), \
-                    mock.patch.object(cli, "PARSE_BLOCK_BYTES", block_bytes), \
-                    mock.patch.object(cli, "_parse_block", logged_blocks(log, cli._parse_block)):
-                data = read_estimation_csv(str(path), design)
-            pids = block_pids(log)
-            workers = min(cpus, blocks)
-            assert len(pids) == workers
-            assert (os.getpid() in pids) == (workers == 1)
-            assert not multiprocessing.active_children()
-            for f in fields:
-                assert getattr(data, f).tobytes() == getattr(one, f).tobytes()
-                assert getattr(data, f).flags.c_contiguous
-
-
-def test_reader_errors_reach_the_caller_from_a_worker(tmp_path):
-    path = tmp_path / "in.csv"
-    path.write_text("y,d,r\n" + "1.5,0,-0.25\n" * 20)
-
-    def parse(path, design, ncol, start=None, end=None):
-        raise RuntimeError(os.getpid())
-
-    with mock.patch.object(core, "_usable_cpus", return_value=2), \
-            mock.patch.object(cli, "PARSE_BLOCK_BYTES", 16), \
-            mock.patch.object(cli, "_parse_block", parse), pytest.raises(RuntimeError) as raised:
-        read_estimation_csv(str(path), "rdd")
-    assert raised.value.args[0] != os.getpid()  # raised in a worker
-    assert not multiprocessing.active_children()
 
 
 def test_seventeen_digit_values_parse_bit_exactly(tmp_path):

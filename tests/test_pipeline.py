@@ -34,6 +34,8 @@ class TestSettings:
         [
             {"omega": 0.0},
             {"omega": -1.0},
+            {"omega": float("inf")},
+            {"omega": float("nan")},
             {"ymin_level": 0.0},
             {"ymin_level": 1.0},
             {"trim": -0.01},
