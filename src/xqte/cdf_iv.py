@@ -123,9 +123,16 @@ class KappaCdfPair:
 
 
 def kappa_weights(
-    data: ObservationSet, p_hat: np.ndarray
+    data: ObservationSet, model: LogitModel, p_trim: float = 0.01
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-unit kappa terms (w1, w0, wd), before the outcome indicator."""
+    """Per-unit kappa terms (w1, w0, wd), before the outcome indicator,
+    under the propensity model's fitted propensities clipped into
+    [p_trim, 1 - p_trim]."""
+    if not 0.0 <= p_trim < 0.5:
+        raise ValueError("p_trim must lie in [0, 0.5)")
+    p_hat = model.propensity(data.x)
+    if p_trim > 0.0:
+        p_hat = np.clip(p_hat, p_trim, 1.0 - p_trim)
     d = data.d.astype(float)
     z = data.z.astype(float)
     pq = (1.0 - p_hat) * p_hat
@@ -143,18 +150,13 @@ def kappa_cdf(
     """Kappa-weighted counterfactual CDF pair on the grid of distinct outcomes.
 
     Fitted propensities are clipped into [p_trim, 1 - p_trim] before
-    weighting. The knot value convention is "just above": values[i] uses
-    the strict indicator 1{Y <= knots[i]}, which equals 1{Y < y} for any
-    y immediately above the knot.
+    weighting (kappa_weights). The knot value convention is "just above":
+    values[i] uses the strict indicator 1{Y <= knots[i]}, which equals
+    1{Y < y} for any y immediately above the knot.
     """
     if data.design != "iv":
         raise ValueError("kappa_cdf needs an iv-design ObservationSet")
-    if not 0.0 <= p_trim < 0.5:
-        raise ValueError("p_trim must lie in [0, 0.5)")
-    p_hat = model.propensity(data.x)
-    if p_trim > 0.0:
-        p_hat = np.clip(p_hat, p_trim, 1.0 - p_trim)
-    w1, w0, wd = kappa_weights(data, p_hat)
+    w1, w0, wd = kappa_weights(data, model, p_trim)
     denom = float(wd.mean())
     if abs(denom) < DENOM_EPS:
         raise DegenerateDenominator(

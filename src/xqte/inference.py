@@ -14,38 +14,29 @@ Draw streams come from a caller-supplied rng_for_draw(t) so results do
 not depend on worker count or draw order. The draws run on forked
 workers (core.fork_map), one per usable CPU, each on one contiguous
 block of the draw numbers, once their subsets hold core.FORK_MIN_ROWS
-rows in all; the fitted pipeline and rng_for_draw reach them by fork
-inheritance, and their rows are concatenated in draw order. Every row
-is fitted independently of the rows computed with it, so the draws are
-the same bit for bit at any worker count.
+rows in all; what they read reaches them by fork inheritance, and their
+rows are concatenated in draw order. Every row is fitted independently
+of the rows computed with it, so the draws are the same bit for bit at
+any worker count.
 
-Every draw's tail indices come from tail.tail_index_rows, the one
-implementation of the closed-form index, with each arm of a draw as a
-row. The frozen-threshold designs refit their CDFs one draw at a time
-(the kappa weights or empirical CDFs of the subset), keep only the
-tail of each proper-CDF view (tail_view_rows on the raw values) and fit
-the tails of a batch of draws together.
-
-Discontinuity draws are computed in chunks rather than one at a time.
-The full sample is ranked by outcome once (stably, so tied outcomes
-keep their row order). Each chunk gathers its draws as a (draws x b)
-matrix in index order, for the bandwidths and the order-sensitive
-kernel sums, then sorts each draw's outcome ranks with those outside
-its bandwidth window moved to the back, which leaves a much narrower
-matrix of window units in outcome order. From that one matrix the
-jump-ratio CDFs, and for both arms at once the thresholds, proper-CDF
-views and tail indices, come from row-wise array operations; the two
-arms are one stack of rows, so each of those steps runs once per chunk.
-A chunk holds at most CHUNK_ELEMENTS entries per (draws x b) matrix, so
-memory stays bounded whatever b and the draw count are. Both designs'
-results equal those of their per-draw recipes bit for bit.
+Both engines refit a chunk of draws at a time. The full sample is
+ranked by outcome once (stably); a chunk gathers its draws as a
+(draws x b) matrix in index order, for the sums whose order matters,
+then sorts each draw's outcome ranks, and the CDFs, proper-CDF views
+and tail indices (tail.tail_index_rows) of both arms come from
+row-wise array operations on one stack of rows. The frozen-threshold
+designs gather full-sample arm weights (kappa weights under the
+full-sample propensity, or unit weights) and fit only the columns from
+the last knot below each threshold on; the discontinuity design keeps
+only each draw's bandwidth window for its jump-ratio CDFs and
+re-selected thresholds. Both equal their per-draw recipes bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,16 +48,16 @@ from .cdf_rdd import (
     rot_bandwidths,
     side_masses,
 )
-from .core import EstimationError, fork_map, fork_workers, tail_view_rows
-from .pipeline import FittedPipeline, subset_cdfs
+from .cdf_iv import DENOM_EPS as KAPPA_EPS, kappa_weights
+from .core import EstimationError, fork_map, fork_workers, step_sums, tail_view_rows
+from .pipeline import FittedPipeline
 from .tail import TailFit, extrapolated_quantiles, qte_point, tail_index_rows
 
-# entries per (draws x b) matrix in one chunk of discontinuity draws. A
-# chunk keeps about three such matrices of 8-byte entries alive at once
-# (ranks, masks and window matrices are smaller); larger chunks spend
+# entries per (draws x b) matrix in one chunk of subsample draws. A
+# chunk keeps a few such matrices of 8-byte entries alive at once (two
+# per arm stack in the frozen-threshold draws, about three in the
+# discontinuity draws; ranks and masks are smaller); larger chunks spend
 # less time in per-call overhead but raise the process's peak memory.
-# The frozen-threshold draws fit their kept tails whenever these hold a
-# quarter of it.
 CHUNK_ELEMENTS = 2**14
 
 # Convergence-rate exponent per design: the scaled dispersion
@@ -142,29 +133,28 @@ def subsample_tail_pairs(
     """Per-draw tail re-estimates: (index, survival) pairs at the frozen
     thresholds, or (index, threshold) pairs for the discontinuity design.
 
-    A draw fails when re-estimation raises an EstimationError or either
+    A draw fails when its refit would raise an EstimationError or either
     index comes out negative; more than max_failure_share failures
     raises UnstableSubsampling. Indices are sorted so a draw is a set,
     not a permutation.
     """
     b = cfg.validate(pipeline.data.n)
     rdd = pipeline.data.design == "rdd"
+    # the frozen-threshold draws' full-sample arrays reach the workers by fork
+    engine, source = (_rdd_draws, pipeline) if rdd else (_frozen_draws, _frozen_sample(pipeline))
     # one contiguous block of draw numbers per worker, concatenated in
     # draw order; a draw's row does not depend on the rows fitted with it
     workers = fork_workers(cfg.draws, b * cfg.draws)
     bounds = [cfg.draws * k // workers for k in range(workers + 1)]
-    parts = fork_map(_rdd_draws if rdd else _frozen_draws, [
-        (pipeline, cfg, b, rng_for_draw, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
+    parts = fork_map(engine, [
+        (source, cfg, b, rng_for_draw, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
     ], b * cfg.draws)
-    if rdd:
-        alphas, thresholds, failed_draws = map(np.concatenate, zip(*parts))
-        alphas, thresholds = alphas[~failed_draws], thresholds[~failed_draws]
-        survivals = np.tile([pipeline.fit1.s_min, pipeline.fit0.s_min], (len(alphas), 1))
-        failed = int(failed_draws.sum())
-    else:
-        alphas, survivals, thresholds, failed = zip(*parts)
-        alphas, survivals, thresholds = map(np.concatenate, (alphas, survivals, thresholds))
-        failed = sum(failed)
+    alphas, per_draw, failed_draws = map(np.concatenate, zip(*parts))
+    alphas, per_draw = alphas[~failed_draws], per_draw[~failed_draws]
+    fits = (pipeline.fit1, pipeline.fit0)
+    frozen = np.tile([fit.s_min if rdd else fit.y_min for fit in fits], (len(alphas), 1))
+    survivals, thresholds = (frozen, per_draw) if rdd else (per_draw, frozen)
+    failed = int(failed_draws.sum())
     if failed > cfg.max_failure_share * cfg.draws:
         raise UnstableSubsampling(
             f"{failed} of {cfg.draws} subsample draws failed; "
@@ -173,85 +163,125 @@ def subsample_tail_pairs(
     return TailDraws(alphas=alphas, survivals=survivals, thresholds=thresholds, failed=failed)
 
 
-def _frozen_draws(pipeline, cfg, b, rng_for_draw, draws=None):
-    """Draws at the frozen full-sample thresholds, for the draw numbers
-    in draws (all of them when omitted).
+class _FrozenSample(NamedTuple):
+    """What the frozen-threshold draws gather from: each unit's outcome
+    rank (smallest integer type), then in rank order the outcomes, arm
+    weights (arm 1 first) and IV complier-mass terms; ties flags tied IV
+    outcomes."""
 
-    Each draw refits its two CDFs on its subset and takes their
-    proper-CDF views, one draw at a time; only the tail of each view,
-    from its last knot below the frozen threshold on, is kept, copied so
-    the draw's full arrays can go. Whenever the kept tails hold
-    CHUNK_ELEMENTS // 4 entries, they are fitted together by
-    _frozen_tails, two rows per draw. A draw fails when its refit raises
-    an EstimationError, either view is degenerate (never above 0, where
-    core.tail_view raises DegenerateDenominator) or either index comes
-    out negative.
+    pipeline: FittedPipeline
+    rank: np.ndarray
+    y: np.ndarray
+    weights: np.ndarray
+    wd: np.ndarray | None
+    ties: bool
+
+
+def _frozen_sample(pipeline: FittedPipeline) -> _FrozenSample:
+    """IV: the kappa terms under the full-sample propensity, trimmed as
+    kappa_cdf trims them; refitting that root-n nuisance per draw would
+    only add noise that the rate correction misattributes to the tail
+    statistic. Direct: d and 1 - d."""
+    data = pipeline.data
+    order = np.argsort(data.y, kind="stable")
+    rank = np.empty(data.n, dtype=np.min_scalar_type(data.n - 1))
+    rank[order] = np.arange(data.n)
+    y = data.y[order]
+    if data.design == "direct":
+        treated = data.d[order].astype(float)
+        return _FrozenSample(pipeline, rank, y, np.stack([treated, 1.0 - treated]), None, False)
+    w1, w0, wd = kappa_weights(data, pipeline.logit, pipeline.settings.trim)
+    return _FrozenSample(pipeline, rank, y, np.stack([w1[order], w0[order]]), wd[order],
+                         bool(np.any(y[1:] == y[:-1])))
+
+
+def _frozen_draws(sample: _FrozenSample, cfg, b, rng_for_draw, draws=None):
+    """Draws at the frozen full-sample thresholds for the draw numbers in
+    draws (all of them when omitted), a chunk of draws at a time.
+
+    Each draw repeats the full-sample recipe on its subset with the
+    full-sample weights: kappa_cdf's, with the complier mass the mean of
+    the subset's wd in index order and tied outcomes in np.argsort's
+    order (IV), or each arm's empirical CDF, whose knots are those where
+    its count rose (direct); then each arm's index on the proper-CDF
+    view at the frozen threshold, on the full fit's shifted scale.
+
+    Returns (alphas, survivals, failed) for each draw: (draws, 2) arrays
+    with arm 1 in column 0, and a mask of the draws that fail: a complier
+    mass below DENOM_EPS or an empty arm, a view never above 0, or a
+    negative index.
     """
-    n = pipeline.data.n
-    draws = range(cfg.draws) if draws is None else draws
-    fits = (pipeline.fit1, pipeline.fit0)
-    y_min = np.array([fit.y_min for fit in fits])
-    alphas, survivals, tails = [], [], []
-    failed = pending = 0
+    fits = (sample.pipeline.fit1, sample.pipeline.fit0)
+    y_min, shifts = np.array([f.y_min for f in fits]), np.array([f.shift for f in fits])
 
-    def flush():
-        if tails:
-            rows_y_min = np.tile(y_min, len(tails) // 2)
-            alpha, survival = _frozen_tails(tails, rows_y_min, pipeline.settings.omega)
-            alphas.append(alpha.reshape(-1, 2))
-            survivals.append(survival.reshape(-1, 2))
-            tails.clear()
+    def refit(draws: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        idx = np.empty((len(draws), b), dtype=np.intp)
+        for row, t in enumerate(draws):
+            idx[row] = rng_for_draw(t).choice(sample.rank.size, size=b, replace=False)
+        idx.sort(axis=1)
+        # np.take gathers with the small rank type much faster than indexing
+        units = np.take(sample.rank, idx)
+        del idx
+        if sample.wd is not None:
+            mass = np.take(sample.wd, units).mean(axis=1)
+            ok = np.abs(mass) >= KAPPA_EPS
+            totals = np.where(ok, b * mass, np.nan)
+        if sample.ties:
+            units = np.take_along_axis(units, np.argsort(np.take(sample.y, units), axis=1), axis=1)
+        else:
+            units.sort(axis=1)
+        ys = np.take(sample.y, units)
+        at_knot, sums = step_sums(ys, np.take(sample.weights, units, axis=1))
+        del units
+        if sample.wd is None:
+            # arm counts; an arm's knots are the knots where its count rose
+            counts = sums[:, :, -1]
+            ok = (counts > 0.0).all(axis=0)
+            totals = np.where(counts > 0.0, counts, np.nan)
+            last = np.maximum.accumulate(np.where(at_knot, sums, 0.0), axis=-1)
+            at_knot = at_knot & (np.diff(last, axis=-1, prepend=0.0) > 0.0)
+        sums /= totals[..., None]
+        knots = ys + shifts[:, None, None]
+        # fits read each row from its last knot below the threshold on;
+        # column 0 of values carries the view's running maximum up to there
+        start = max(int(np.count_nonzero(knots < y_min[:, None, None], axis=-1).min()) - 1, 0)
+        width = b - start
+        values = np.empty(sums.shape[:-1] + (width + 1,))
+        values[..., 0] = np.where(at_knot[..., :start], sums[..., :start], -np.inf).max(
+            axis=-1, initial=-np.inf)
+        values[..., 1:] = sums[..., start:]
+        marks = np.ones(values.shape, dtype=bool)
+        marks[..., 1:] = at_knot[..., start:]
+        del sums, at_knot
+        view, degenerate = tail_view_rows(values, marks)
+        alpha, survival = _frozen_index(
+            knots[..., start:].reshape(-1, width), view[..., 1:].reshape(-1, width),
+            marks[..., 1:].reshape(-1, width), np.repeat(y_min, len(draws)),
+            sample.pipeline.settings.omega,
+        )
+        alpha, survival = alpha.reshape(2, -1).T, survival.reshape(2, -1).T
+        return alpha, survival, ~ok | degenerate.any(axis=0) | (alpha < 0.0).any(axis=1)
 
-    for t in draws:
-        idx = np.sort(rng_for_draw(t).choice(n, size=b, replace=False))
-        try:
-            cdfs = subset_cdfs(pipeline, idx)
-        except EstimationError:
-            failed += 1
-            continue
-        views = [tail_view_rows(cdf.values) for cdf in cdfs]
-        if any(degenerate for _, degenerate in views):
-            failed += 1
-            continue
-        for cdf, (values, _), fit in zip(cdfs, views, fits):
-            # the full fit's shift puts the view on its positive scale
-            knots = cdf.knots + fit.shift if fit.shift != 0.0 else cdf.knots
-            start = max(int(np.searchsorted(knots, fit.y_min)) - 1, 0)
-            tails.append((knots[start:].copy(), values[start:].copy()))
-            pending += knots.size - start
-        if pending >= CHUNK_ELEMENTS // 4:
-            flush()
-            pending = 0
-    flush()
-    alphas = np.concatenate(alphas) if alphas else np.empty((0, 2))
-    survivals = np.concatenate(survivals) if survivals else np.empty((0, 2))
-    negative = (alphas < 0.0).any(axis=1)
-    alphas, survivals = alphas[~negative], survivals[~negative]
-    thresholds = np.tile(y_min, (len(alphas), 1))
-    return alphas, survivals, thresholds, failed + int(negative.sum())
+    return _chunked(refit, range(cfg.draws) if draws is None else draws, b)
 
 
-def _frozen_tails(tails, y_min, omega):
-    """(index, threshold survival) of each CDF tail at its threshold.
-
-    tails holds (knots, values) pairs and y_min one threshold for each;
-    they go through tail_index_rows as the rows of one matrix, padded
-    with inf knots. A tail with nothing to fit (no resolvable mass
-    beyond the threshold) is the boundary case of an infinitely fast
-    decay: an infinite index with zero survival, which extrapolates to
-    the threshold itself. An index of exactly 0 (survival constant
-    beyond the threshold) is infinite too, but keeps its survival. A
-    negative index is returned as it is.
-    """
-    lengths = np.array([k.size for k, _ in tails])
-    at_knot = np.arange(lengths.max()) < lengths[:, None]
-    knots = np.full(at_knot.shape, np.inf)
-    knots[at_knot] = np.concatenate([k for k, _ in tails])
-    values = np.ones(at_knot.shape)
-    values[at_knot] = np.concatenate([v for _, v in tails])
-    alpha, s_min = tail_index_rows(knots, values, at_knot, y_min, omega)
+def _frozen_index(knots, view, at_knot, y_min, omega):
+    """(index, threshold survival) of each row's tail (tail_index_rows).
+    Nothing to fit is the flat tail of an infinitely fast decay: index
+    inf, survival 0, which extrapolates to the threshold itself. An index
+    of exactly 0 (constant survival beyond the threshold) is inf too but
+    keeps its survival; a negative index is returned as it is."""
+    alpha, s_min = tail_index_rows(knots, view, at_knot, y_min, omega)
     empty = np.isnan(alpha)
     return np.where(empty | (alpha == 0.0), np.inf, alpha), np.where(empty, 0.0, s_min)
+
+
+def _chunked(refit, draws: range, b: int) -> tuple[np.ndarray, ...]:
+    """refit's arrays for draws, concatenated over chunks of CHUNK_ELEMENTS // b draws."""
+    step = max(1, CHUNK_ELEMENTS // b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parts = [refit(draws[lo:lo + step]) for lo in range(0, len(draws), step)]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _rdd_draws(pipeline, cfg, b, rng_for_draw, draws=None):
@@ -340,16 +370,7 @@ def _rdd_draws(pipeline, cfg, b, rng_for_draw, draws=None):
         alpha = np.where(alpha > 0.0, alpha, np.inf)
         return alpha.reshape(2, -1).T, th.T, ~ok
 
-    draws = range(cfg.draws) if draws is None else draws
-    alphas = np.empty((len(draws), 2))
-    thresholds = np.empty((len(draws), 2))
-    failed = np.empty(len(draws), dtype=bool)
-    step = max(1, CHUNK_ELEMENTS // b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, len(draws), step):
-            chunk = slice(start, min(start + step, len(draws)))
-            alphas[chunk], thresholds[chunk], failed[chunk] = refit(draws[chunk])
-    return alphas, thresholds, failed
+    return _chunked(refit, range(cfg.draws) if draws is None else draws, b)
 
 
 def qte_draws_from_tails(

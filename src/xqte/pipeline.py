@@ -1,6 +1,6 @@
 """End-to-end estimation pipelines: design-specific CDF estimation plus
-tail fits, and the per-draw CDF refit that subsampling calls on row
-subsets.
+tail fits. Subsampling refits the draws in inference, from the fitted
+pipeline.
 
 A pipeline is fitted on the analysis scale, where the targets sit in
 the upper tail. For lower-tail targets (tail_side="lower") fit_pipeline
@@ -73,33 +73,6 @@ def ecdf(y: np.ndarray) -> StepCdf:
     return StepCdf(ys[at_knot], counts[at_knot] / ys.size)
 
 
-def _frozen_cdfs(
-    data: ObservationSet, settings: EstimatorSettings, logit: LogitModel | None
-) -> tuple[StepCdf, StepCdf]:
-    """Treated and control CDFs of the designs whose thresholds stay at
-    their full-sample location: kappa weights under the propensity model
-    logit (IV), or the two arms' empirical CDFs (direct)."""
-    if data.design == "iv":
-        pair = kappa_cdf(data, logit, p_trim=settings.trim)
-        return pair.beta1, pair.beta0
-    if data.design == "direct":
-        return ecdf(data.y[data.d == 1]), ecdf(data.y[data.d == 0])
-    raise ValueError(f"the {data.design!r} design re-selects its thresholds per draw")
-
-
-def subset_cdfs(pipeline: FittedPipeline, idx: np.ndarray) -> tuple[StepCdf, StepCdf]:
-    """Treated and control CDFs refitted on the rows idx of the fitted
-    data, for the IV and direct designs.
-
-    The IV weights on the subset rows come from the full-sample
-    propensity fit: the nuisance converges at the root-n rate, so
-    re-estimating it per draw would only add noise that the rate
-    correction then misattributes to the tail statistic. The
-    discontinuity design refits its draws in inference instead.
-    """
-    return _frozen_cdfs(pipeline.data.subset(idx), pipeline.settings, pipeline.logit)
-
-
 def fit_pipeline(
     data: ObservationSet,
     settings: EstimatorSettings | None = None,
@@ -146,7 +119,10 @@ def fit_pipeline(
         if data.design == "iv":
             logit = fit_logit(data.x, data.z)
             meta = {"gamma": logit.gamma, "logit_iterations": logit.iterations}
-        cdf1, cdf0 = _frozen_cdfs(data, settings, logit)
+            pair = kappa_cdf(data, logit, p_trim=settings.trim)
+            cdf1, cdf0 = pair.beta1, pair.beta0
+        else:
+            cdf1, cdf0 = ecdf(data.y[data.d == 1]), ecdf(data.y[data.d == 0])
         fit1 = fit_tail(tail_view(cdf1), level=settings.ymin_level, omega=settings.omega)
         fit0 = fit_tail(tail_view(cdf0), level=settings.ymin_level, omega=settings.omega)
     return FittedPipeline(data=data, settings=settings, tail_side=tail_side, cdf1=cdf1,

@@ -193,9 +193,10 @@ def pareto_index(
 
 def _scale_from(s_min: float, y_min: float, alpha: float) -> float:
     """c = s_min y_min^alpha; runaway index estimates overflow to inf
-    instead of raising, matching float64 semantics."""
+    instead of raising, matching float64 semantics. A flat tail (alpha =
+    inf) has no scale: c is inf whatever the threshold."""
     with np.errstate(over="ignore"):
-        return float(s_min * np.float64(y_min) ** np.float64(alpha))
+        return float(s_min * np.float64(y_min) ** np.float64(alpha)) if alpha < np.inf else np.inf
 
 
 def fit_arm(

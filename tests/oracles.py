@@ -3,10 +3,10 @@
 Most use numerical quadrature and plain per-side kernel means, so none
 of them shares code paths with the closed-form estimators they check.
 The scalar tail-index fit (pareto_index, with _tail_segments) and the
-per-draw frozen-threshold recipe (frozen_draws, with
-_tail_at_frozen_threshold) are the library's former implementations,
-kept as they were; the row engine (tail.tail_index_rows) must match
-them bit for bit.
+per-draw frozen-threshold recipe (frozen_draws, with subset_cdfs and
+_tail_at_frozen_threshold) are the library's former implementations;
+the row engines (tail.tail_index_rows and the frozen-threshold draws)
+must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -17,9 +17,13 @@ from typing import Callable, Literal
 import numpy as np
 from scipy.integrate import quad
 
+from xqte.cdf_iv import DENOM_EPS, kappa_weights
 from xqte.cdf_rdd import EmptyWindow, epanechnikov
-from xqte.core import EstimationError, ObservationSet, StepCdf, evaluate, tail_view
-from xqte.pipeline import subset_cdfs
+from xqte.core import (
+    DegenerateDenominator, EstimationError, ObservationSet, StepCdf, evaluate, step_sums,
+    tail_view,
+)
+from xqte.pipeline import ecdf
 from xqte.tail import EmptyTail, NonPositiveSurvival, TailFit, _scale_from
 
 
@@ -198,6 +202,34 @@ def _tail_at_frozen_threshold(cdf: StepCdf, full_fit: TailFit) -> tuple[float, f
     if fit.alpha_hat == 0.0:
         return np.inf, fit.s_min
     return fit.alpha_hat, fit.s_min
+
+
+def subset_cdfs(pipeline, idx: np.ndarray) -> tuple[StepCdf, StepCdf]:
+    """Treated and control CDFs refitted on the rows idx of the fitted
+    data, for the IV and direct designs.
+
+    The IV weights on the subset rows are the full-sample kappa weights
+    (under the full-sample propensity fit) gathered at idx: the nuisance
+    converges at the root-n rate, so re-estimating it per draw would only
+    add noise that the rate correction then misattributes to the tail
+    statistic. The CDFs then follow kappa_cdf's recipe on the subset.
+    """
+    data = pipeline.data
+    if data.design == "direct":
+        sub = data.subset(idx)
+        return ecdf(sub.y[sub.d == 1]), ecdf(sub.y[sub.d == 0])
+    if data.design != "iv":
+        raise ValueError(f"the {data.design!r} design re-selects its thresholds per draw")
+    w1, w0, wd = (w[idx] for w in kappa_weights(data, pipeline.logit, pipeline.settings.trim))
+    denom = float(wd.mean())
+    if abs(denom) < DENOM_EPS:
+        raise DegenerateDenominator(f"complier mass estimate {denom:.3e} below {DENOM_EPS}")
+    y = data.y[idx]
+    order = np.argsort(y)
+    ys = y[order]
+    at_knot, sums = step_sums(ys, np.stack([w1[order], w0[order]]))
+    vals1, vals0 = sums[:, at_knot] / (y.size * denom)
+    return StepCdf(ys[at_knot], vals1), StepCdf(ys[at_knot], vals0)
 
 
 def frozen_draws(pipeline, cfg, b, rng_for_draw):

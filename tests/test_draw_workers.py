@@ -40,11 +40,11 @@ def on_cpus(cpus, log_dir, min_rows=0):
     calls = itertools.count()
 
     def logged(engine):
-        def run(pipeline, cfg, b, rng_for_draw, draws=None):
+        def run(source, cfg, b, rng_for_draw, draws=None):
             draws = range(cfg.draws) if draws is None else draws
             name = f"{os.getpid()}-{os.getppid()}-{draws.start}-{draws.stop}-{next(calls)}"
             (log_dir / name).touch()
-            return engine(pipeline, cfg, b, rng_for_draw, draws)
+            return engine(source, cfg, b, rng_for_draw, draws)
 
         return run
 

@@ -22,10 +22,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from xqte import inference
+from xqte import core, inference
 from xqte.core import EstimationError, ObservationSet, substream
 from xqte.inference import SubsampleConfig, UnstableSubsampling, subsample_tail_pairs
-from xqte.pipeline import EstimatorSettings, fit_pipeline, subset_cdfs
+from xqte.pipeline import EstimatorSettings, fit_pipeline
 from xqte.simulate import gen_iv
 
 
@@ -40,7 +40,7 @@ def check_draws(pipe, cfg, seed):
     b = cfg.validate(pipe.data.n)
     alphas, survivals, thresholds, failed = oracles.frozen_draws(pipe, cfg, b, stream)
     if failed > cfg.max_failure_share * cfg.draws:
-        with pytest.raises(UnstableSubsampling):
+        with pytest.raises(UnstableSubsampling, match=f"^{failed} of {cfg.draws} "):
             subsample_tail_pairs(pipe, cfg, stream)
         return failed
     tails = subsample_tail_pairs(pipe, cfg, stream)
@@ -51,9 +51,11 @@ def check_draws(pipe, cfg, seed):
     return failed
 
 
-def raw_rows(values):
+def raw_rows(values, at_knot=None):
     """tail_view_rows that hands the values on as they are, never
-    degenerate."""
+    degenerate. Off the knots they are running totals, which the tail
+    fit reads only at a run's last entry, where they are the preceding
+    knot's value."""
     return np.array(values, dtype=float), np.zeros(np.shape(values)[:-1], dtype=bool)
 
 
@@ -121,7 +123,7 @@ def failures_by_class(pipe, cfg, seed):
         idx = np.sort(substream(seed, t).choice(pipe.data.n, size=b, replace=False))
         try:
             tails = [oracles._tail_at_frozen_threshold(cdf, fit)
-                     for cdf, fit in zip(subset_cdfs(pipe, idx), (pipe.fit1, pipe.fit0))]
+                     for cdf, fit in zip(oracles.subset_cdfs(pipe, idx), (pipe.fit1, pipe.fit0))]
         except EstimationError as err:
             failures[type(err).__name__] += 1
             continue
@@ -157,3 +159,69 @@ def test_direct_draws_that_miss_an_arm_fail():
     with patched(1, raw=False):
         assert check_draws(pipe, cfg, 11) > 15
     assert failures_by_class(pipe, cfg, 11)["DegenerateDenominator"] > 15
+
+
+def test_draws_with_one_unit_per_arm_are_all_flat():
+    # at b = 2 a draw that keeps both arms holds one unit of each, whose
+    # empirical CDF has nothing to fit beyond the frozen threshold: every
+    # retained index is inf (zero survival below the threshold's unit,
+    # the unit's own survival above it); the other draws miss an arm
+    rng = np.random.default_rng(5)
+    d = (rng.random(200) < 0.5).astype(int)
+    pipe = fit_pipeline(direct_set(rng.pareto(2.0, 200) + 1.0 + d, d),
+                        EstimatorSettings(ymin_level=0.9))
+    cfg = SubsampleConfig(b=2, draws=100, max_failure_share=0.9)
+    alphas, survivals, _, failed = oracles.frozen_draws(pipe, cfg, 2, lambda t: substream(6, t))
+    assert 0 < failed < 90 and np.isinf(alphas).all()
+    assert {0.0, 1.0} <= set(survivals.ravel())
+    for chunk in (1, 2 * 7, inference.CHUNK_ELEMENTS):
+        with patched(chunk, raw=False):
+            assert check_draws(pipe, cfg, 6) == failed
+
+
+def test_draw_sets_that_all_fail_raise_with_the_oracles_count():
+    # 3 treated rows among 400 and b = 2: no draw of this stream holds a
+    # treated unit, so every draw misses an arm
+    d = np.zeros(400, dtype=int)
+    d[:3] = 1
+    pipe = fit_pipeline(direct_set(np.random.default_rng(3).pareto(2.0, 400) + 1.0, d),
+                        EstimatorSettings(ymin_level=0.5))
+    cfg = SubsampleConfig(b=2, draws=100)
+    for chunk in (1, inference.CHUNK_ELEMENTS):
+        with patched(chunk, raw=False):
+            assert check_draws(pipe, cfg, 4) == cfg.draws
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("side", ["upper", "lower"])
+@pytest.mark.parametrize("chunk", [1, 150 * 7, inference.CHUNK_ELEMENTS])
+def test_direct_draws_with_outcomes_tied_across_arms(seed, side, chunk):
+    # integer outcomes: about 15 distinct values shared by both arms, so
+    # most knots hold units of both arms and an arm's knots are the
+    # subset's knots where its own count rose
+    rng = np.random.default_rng(seed)
+    d = (rng.random(600) < 0.4).astype(int)
+    y = np.round(rng.standard_t(3.0, 600) + 0.5 * d)
+    assert np.isin(y[d == 1], y[d == 0]).mean() > 0.9
+    pipe = fit_pipeline(direct_set(y, d), EstimatorSettings(ymin_level=0.9), side)
+    cfg = SubsampleConfig(b=150, draws=100, max_failure_share=0.5)
+    with patched(chunk, raw=False):
+        check_draws(pipe, cfg, seed)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("design", ["iv", "direct"])
+def test_chunk_boundaries_inside_a_workers_block(design, workers):
+    # 7 draws per chunk: the blocks of 2 workers (0-49, 50-100) and 3
+    # workers (0-32, 33-66, 67-100) each end in a part chunk, and each
+    # worker's chunks start at its own block's first draw
+    data = gen_iv(substream(9, 1), 400).data
+    if design == "direct":
+        data = direct_set(data.y, data.d)
+    pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
+    cfg = SubsampleConfig(b=40, draws=101, max_failure_share=0.5)
+    with patched(7 * 40, raw=False), \
+            mock.patch.object(core, "_usable_cpus", return_value=workers), \
+            mock.patch.object(core, "FORK_MIN_ROWS", 0):
+        assert core.fork_workers(cfg.draws, 40 * cfg.draws) == workers
+        check_draws(pipe, cfg, 13)

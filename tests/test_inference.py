@@ -13,7 +13,6 @@ from xqte.inference import (
     TailDraws,
     UndefinedEstimate,
     UnstableSubsampling,
-    _frozen_tails,
     estimate_qte_batch,
     qte_draws_from_tails,
     subsample_tail_pairs,
@@ -132,8 +131,11 @@ class TestFullSampleDegenerate:
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
         cfg = SubsampleConfig(b=data.n, draws=100)
         # validate rejects b = n, so the draws are run directly
-        tails = TailDraws(*inference._frozen_draws(pipe, cfg, data.n, draw_stream(3)))
-        assert tails.failed == 0
+        sample = inference._frozen_sample(pipe)
+        alphas, survivals, failed = inference._frozen_draws(sample, cfg, data.n, draw_stream(3))
+        assert not failed.any()
+        thresholds = np.tile([pipe.fit1.y_min, pipe.fit0.y_min], (cfg.draws, 1))
+        tails = TailDraws(alphas, survivals, thresholds, 0)
         assert np.all(tails.alphas[:, 0] == pipe.fit1.alpha_hat)
         assert np.all(tails.alphas[:, 1] == pipe.fit0.alpha_hat)
         assert np.all(tails.survivals[:, 0] == pipe.fit1.s_min)
@@ -451,7 +453,9 @@ class TestFlatTailDraws:
     def frozen_tail(knots, values, y_min):
         """(index, survival) of one subset CDF on the frozen draws' row path."""
         view = tail_view(StepCdf(knots, values))
-        (a,), (s,) = _frozen_tails([(view.knots, view.values)], np.array([y_min]), 1.0)
+        (a,), (s,) = inference._frozen_index(
+            view.knots[None], view.values[None], True, np.array([y_min]), 1.0
+        )
         return a, s
 
     def test_no_knots_beyond_threshold(self):

@@ -4,9 +4,11 @@ import pytest
 from xqte.cdf_rdd import arm_threshold, rdd_cdf, rot_bandwidth
 from xqte.core import DegenerateDenominator, ObservationSet, evaluate, substream
 from xqte.inference import estimate_qte_batch
-from xqte.pipeline import EstimatorSettings, ecdf, fit_pipeline, subset_cdfs
+from xqte.pipeline import EstimatorSettings, ecdf, fit_pipeline
 from xqte.simulate import gen_rdd
 from xqte.tail import ShiftMergesKnots, extrapolated_quantiles
+
+from oracles import subset_cdfs
 
 
 def direct_set(y0, y1):
@@ -77,6 +79,8 @@ class TestDirectPipeline:
         assert pipe.logit is None
 
     def test_refit_on_full_index_reproduces_cdfs(self):
+        # the draws' per-draw recipe (oracles.subset_cdfs) on every row is
+        # the full-sample fit
         data = direct_set(pareto(2, 250, 2.0), pareto(3, 250, 2.0, scale=2.0))
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
         c1, c0 = subset_cdfs(pipe, np.arange(data.n))
@@ -190,9 +194,6 @@ class TestRddPipeline:
         assert np.array_equal(pipe.cdf1.knots, ref.beta1.knots)
         assert np.array_equal(pipe.cdf1.values, ref.beta1.values)
         assert pipe.meta["first_stage_jump"] == ref.denom1
-        # discontinuity draws are refitted in inference, not here
-        with pytest.raises(ValueError):
-            subset_cdfs(pipe, np.arange(data.n))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_shifted_threshold_is_the_arm_threshold_plus_the_shift(self, seed):

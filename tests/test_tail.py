@@ -213,10 +213,15 @@ def test_pareto_index_pinned_survival_keeps_the_index():
     ([1.0, 2.0], [1.0, 1.0], 1.5),  # no survival at the threshold
     ([1.0, 2.0, 3.0], [0.5, 0.3, 1.0], 2.0),  # negative index
     ([1.0, 2.0], [0.5, 1.0], 0.0),  # threshold not positive
+    ([0.25, 0.5], [0.5, 1.0], 0.5),  # nothing beyond a threshold in (0, 1)
+    ([0.25, 0.5, 0.75], [0.5, 0.5, 1.0], 0.5),  # index 0 at a threshold in (0, 1)
 ])
 def test_pareto_index_pinned_survival_falls_back_to_the_flat_tail(knots, values, y_min):
     fit = pareto_index(StepCdf(np.array(knots), np.array(values)), y_min, s_min=0.1)
     assert fit.alpha_hat == np.inf and fit.s_min == 0.1
+    # a flat tail has no Pareto scale, whichever side of 1 its threshold
+    # lies (s_min y_min^inf would be 0 below 1), so run.json writes null
+    assert fit.c_hat == np.inf
     # the flat tail extrapolates to the threshold itself
     assert extrapolated_quantiles(fit, 0.9, [fit.alpha_hat])[0] == y_min
 
