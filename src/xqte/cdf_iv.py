@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateDenominator, EstimationError, ObservationSet, StepCdf, step_sums
+from .core import (
+    DENOM_EPS, DegenerateDenominator, EstimationError, ObservationSet, RankedSample, StepCdf,
+    rank_sample, ranked_cdfs,
+)
 
-DENOM_EPS = 1e-10
 SEPARATION_BOUND = 30.0
 
 
@@ -114,12 +116,13 @@ def fit_logit(
 
 @dataclass(frozen=True)
 class KappaCdfPair:
-    """Both complier CDF estimates on a shared knot grid, plus the
-    estimated complier mass (common denominator)."""
+    """Both complier CDF estimates on a shared knot grid, the estimated
+    complier mass (common denominator) and their ranked sample."""
 
     beta0: StepCdf
     beta1: StepCdf
     denom: float
+    sample: RankedSample
 
 
 def kappa_weights(
@@ -150,23 +153,18 @@ def kappa_cdf(
     """Kappa-weighted counterfactual CDF pair on the grid of distinct outcomes.
 
     Fitted propensities are clipped into [p_trim, 1 - p_trim] before
-    weighting (kappa_weights). The knot value convention is "just above":
-    values[i] uses the strict indicator 1{Y <= knots[i]}, which equals
-    1{Y < y} for any y immediately above the knot.
+    weighting (kappa_weights), and the pair is the ranked sample's
+    one-row case (core.ranked_cdfs). The knot value convention is "just
+    above": values[i] uses the strict indicator 1{Y <= knots[i]}, which
+    equals 1{Y < y} for any y immediately above the knot.
     """
     if data.design != "iv":
         raise ValueError("kappa_cdf needs an iv-design ObservationSet")
     w1, w0, wd = kappa_weights(data, model, p_trim)
     denom = float(wd.mean())
     if abs(denom) < DENOM_EPS:
-        raise DegenerateDenominator(
-            f"complier mass estimate {denom:.3e} below {DENOM_EPS}"
-        )
-
-    n = data.n
-    order = np.argsort(data.y)
-    ys = data.y[order]
-    at_knot, sums = step_sums(ys, np.stack([w1[order], w0[order]]))
-    vals1, vals0 = sums[:, at_knot] / (n * denom)
-    knots = ys[at_knot]
-    return KappaCdfPair(beta0=StepCdf(knots, vals0), beta1=StepCdf(knots, vals1), denom=denom)
+        raise DegenerateDenominator(f"complier mass estimate {denom:.3e} below {DENOM_EPS}")
+    sample = rank_sample(data.y, np.stack([w1, w0]), wd)
+    del w1, w0, wd
+    cdf1, cdf0 = ranked_cdfs(sample)
+    return KappaCdfPair(beta0=cdf0, beta1=cdf1, denom=denom, sample=sample)

@@ -1,6 +1,6 @@
-"""Shared data model: observation sets, step-function CDFs, their
-proper-CDF views, outcome flipping, reproducible RNG substreams, and
-the fork pool that runs independent tasks on worker processes.
+"""Shared data model: observation sets, ranked samples and their step
+CDFs, proper-CDF views, outcome flipping, reproducible RNG substreams,
+and the fork pool that runs independent tasks on worker processes.
 
 Counterfactual CDF estimators in this package return raw step functions
 that need not be monotone or stay inside [0, 1]. Tail fits read them
@@ -14,11 +14,12 @@ import os
 import sys
 import types
 from dataclasses import dataclass, replace
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
 Design = Literal["iv", "rdd", "direct"]
+DENOM_EPS = 1e-10  # the smallest complier mass an instrument CDF divides by
 
 
 class EstimationError(Exception):
@@ -101,9 +102,8 @@ class ObservationSet:
         return self.y.size
 
     def subset(self, idx: np.ndarray) -> "ObservationSet":
-        """Row subset (used by subsampling). Rows of a validated set are
-        valid and their dtypes already normalised, so validation does not
-        re-run."""
+        """Row subset. Rows of a validated set are valid and their dtypes
+        already normalised, so validation does not re-run."""
         out = object.__new__(ObservationSet)
         out.__dict__.update(
             design=self.design,
@@ -173,6 +173,67 @@ def step_sums(ys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     at_knot = np.ones(ys.shape, dtype=bool)
     at_knot[..., :-1] = ys[..., 1:] != ys[..., :-1]
     return at_knot, np.cumsum(weights, axis=-1, out=weights)
+
+
+class RankedSample(NamedTuple):
+    """A sample ranked by outcome once, stably (tied outcomes keep their
+    input row order): each unit's rank (smallest integer type), then in
+    rank order the outcomes, both arms' weights (shape (2, n), arm 1
+    first) and the instrument design's complier-mass terms (None in the
+    direct design, whose weights are d and 1 - d)."""
+
+    rank: np.ndarray
+    y: np.ndarray
+    weights: np.ndarray
+    wd: np.ndarray | None
+
+
+def rank_sample(y: np.ndarray, weights: np.ndarray, wd: np.ndarray | None = None) -> RankedSample:
+    """RankedSample of y, weights (2, n) and wd, given in input row order."""
+    order = np.argsort(y, kind="stable")
+    rank = np.empty(y.size, dtype=np.min_scalar_type(y.size - 1))
+    rank[order] = np.arange(y.size)
+    return RankedSample(rank, y[order], np.take(weights, order, axis=1),
+                        None if wd is None else wd[order])
+
+
+def arm_cdf_rows(sample: RankedSample, units: np.ndarray):
+    """Both arms' CDFs on each row of a (rows x m) array of unit ranks.
+
+    The complier mass is the mean of a row's wd in the row's order (index
+    order for a subset); the running sums follow rank order, which sums
+    tied outcomes in input row order. Returns (ys, at_knot, values, ok):
+    each row's outcomes in rank order; each arm's knots and values, shape
+    (2, rows, m), arm 1 first (a direct arm's knots are those where its
+    count rose); and a mask of the rows with a complier mass of at least
+    DENOM_EPS in size or both arms present, whose values are not NaN.
+    """
+    m = units.shape[-1]
+    if sample.wd is not None:
+        mass = np.take(sample.wd, units).mean(axis=1)
+        ok = np.abs(mass) >= DENOM_EPS
+        totals = np.where(ok, m * mass, np.nan)
+    units = np.sort(units, axis=1)
+    # np.take gathers with the small rank type much faster than indexing
+    ys = np.take(sample.y, units)
+    at_knot, sums = step_sums(ys, np.take(sample.weights, units, axis=1))
+    if sample.wd is None:
+        counts = sums[:, :, -1]
+        ok = (counts > 0.0).all(axis=0)
+        totals = np.where(counts > 0.0, counts, np.nan)
+        last = np.maximum.accumulate(np.where(at_knot, sums, 0.0), axis=-1)
+        at_knot = at_knot & (np.diff(last, axis=-1, prepend=0.0) > 0.0)
+    sums /= totals[..., None]
+    return ys, np.broadcast_to(at_knot, sums.shape), sums, ok
+
+
+def ranked_cdfs(sample: RankedSample) -> tuple[StepCdf, StepCdf]:
+    """The full sample's (treated, control) CDFs: the one-row case of
+    arm_cdf_rows."""
+    ys, at_knot, values, ok = arm_cdf_rows(sample, sample.rank[None])
+    if not ok[0]:
+        raise DegenerateDenominator("no complier mass or an empty arm: no CDF to build")
+    return tuple(StepCdf(ys[0, at[0]], v[0, at[0]]) for at, v in zip(at_knot, values))
 
 
 def evaluate(cdf: StepCdf, y) -> np.ndarray | float:

@@ -19,24 +19,23 @@ rows are concatenated in draw order. Every row is fitted independently
 of the rows computed with it, so the draws are the same bit for bit at
 any worker count.
 
-Both engines refit a chunk of draws at a time. The full sample is
-ranked by outcome once (stably); a chunk gathers its draws as a
+Both engines refit a chunk of draws at a time from the full sample
+ranked by outcome once, stably: a chunk gathers its draws as a
 (draws x b) matrix in index order, for the sums whose order matters,
-then sorts each draw's outcome ranks, and the CDFs, proper-CDF views
-and tail indices (tail.tail_index_rows) of both arms come from
-row-wise array operations on one stack of rows. The frozen-threshold
-designs gather full-sample arm weights (kappa weights under the
-full-sample propensity, or unit weights) and fit only the columns from
-the last knot below each threshold on; the discontinuity design keeps
-only each draw's bandwidth window for its jump-ratio CDFs and
-re-selected thresholds. Both equal their per-draw recipes bit for bit.
+then sorts each draw's ranks (tied outcomes stay in input row order),
+and the CDFs, proper-CDF views and tail indices (tail.tail_index_rows)
+of both arms come from row-wise array operations on one stack of rows.
+The frozen-threshold designs read the fit's ranked sample through its
+own CDF routine (core.arm_cdf_rows), fitting only the columns from the
+last knot below each threshold on; the discontinuity design keeps each
+draw's bandwidth window. Both equal their per-draw recipes bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,8 +47,7 @@ from .cdf_rdd import (
     rot_bandwidths,
     side_masses,
 )
-from .cdf_iv import DENOM_EPS as KAPPA_EPS, kappa_weights
-from .core import EstimationError, fork_map, fork_workers, step_sums, tail_view_rows
+from .core import EstimationError, arm_cdf_rows, fork_map, fork_workers, tail_view_rows
 from .pipeline import FittedPipeline
 from .tail import TailFit, extrapolated_quantiles, qte_point, tail_index_rows
 
@@ -140,14 +138,14 @@ def subsample_tail_pairs(
     """
     b = cfg.validate(pipeline.data.n)
     rdd = pipeline.data.design == "rdd"
-    # the frozen-threshold draws' full-sample arrays reach the workers by fork
-    engine, source = (_rdd_draws, pipeline) if rdd else (_frozen_draws, _frozen_sample(pipeline))
+    # the pipeline, with its ranked sample, reaches the workers by fork
+    engine = _rdd_draws if rdd else _frozen_draws
     # one contiguous block of draw numbers per worker, concatenated in
     # draw order; a draw's row does not depend on the rows fitted with it
     workers = fork_workers(cfg.draws, b * cfg.draws)
     bounds = [cfg.draws * k // workers for k in range(workers + 1)]
     parts = fork_map(engine, [
-        (source, cfg, b, rng_for_draw, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
+        (pipeline, cfg, b, rng_for_draw, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
     ], b * cfg.draws)
     alphas, per_draw, failed_draws = map(np.concatenate, zip(*parts))
     alphas, per_draw = alphas[~failed_draws], per_draw[~failed_draws]
@@ -163,55 +161,22 @@ def subsample_tail_pairs(
     return TailDraws(alphas=alphas, survivals=survivals, thresholds=thresholds, failed=failed)
 
 
-class _FrozenSample(NamedTuple):
-    """What the frozen-threshold draws gather from: each unit's outcome
-    rank (smallest integer type), then in rank order the outcomes, arm
-    weights (arm 1 first) and IV complier-mass terms; ties flags tied IV
-    outcomes."""
-
-    pipeline: FittedPipeline
-    rank: np.ndarray
-    y: np.ndarray
-    weights: np.ndarray
-    wd: np.ndarray | None
-    ties: bool
-
-
-def _frozen_sample(pipeline: FittedPipeline) -> _FrozenSample:
-    """IV: the kappa terms under the full-sample propensity, trimmed as
-    kappa_cdf trims them; refitting that root-n nuisance per draw would
-    only add noise that the rate correction misattributes to the tail
-    statistic. Direct: d and 1 - d."""
-    data = pipeline.data
-    order = np.argsort(data.y, kind="stable")
-    rank = np.empty(data.n, dtype=np.min_scalar_type(data.n - 1))
-    rank[order] = np.arange(data.n)
-    y = data.y[order]
-    if data.design == "direct":
-        treated = data.d[order].astype(float)
-        return _FrozenSample(pipeline, rank, y, np.stack([treated, 1.0 - treated]), None, False)
-    w1, w0, wd = kappa_weights(data, pipeline.logit, pipeline.settings.trim)
-    return _FrozenSample(pipeline, rank, y, np.stack([w1[order], w0[order]]), wd[order],
-                         bool(np.any(y[1:] == y[:-1])))
-
-
-def _frozen_draws(sample: _FrozenSample, cfg, b, rng_for_draw, draws=None):
+def _frozen_draws(pipeline, cfg, b, rng_for_draw, draws=None):
     """Draws at the frozen full-sample thresholds for the draw numbers in
     draws (all of them when omitted), a chunk of draws at a time.
 
-    Each draw repeats the full-sample recipe on its subset with the
-    full-sample weights: kappa_cdf's, with the complier mass the mean of
-    the subset's wd in index order and tied outcomes in np.argsort's
-    order (IV), or each arm's empirical CDF, whose knots are those where
-    its count rose (direct); then each arm's index on the proper-CDF
-    view at the frozen threshold, on the full fit's shifted scale.
+    Each draw runs its units' ranks through the fit's CDF routine
+    (core.arm_cdf_rows) with the full-sample weights (refitting the
+    root-n propensity per draw would only add noise that the rate
+    correction misattributes to the tail statistic), then fits each
+    arm's index on the proper-CDF view at the frozen threshold, on the
+    full fit's shifted scale.
 
     Returns (alphas, survivals, failed) for each draw: (draws, 2) arrays
-    with arm 1 in column 0, and a mask of the draws that fail: a complier
-    mass below DENOM_EPS or an empty arm, a view never above 0, or a
-    negative index.
+    with arm 1 in column 0, and a mask of the draws that fail: no CDF
+    (arm_cdf_rows), a view never above 0, or a negative index.
     """
-    fits = (sample.pipeline.fit1, sample.pipeline.fit0)
+    sample, fits = pipeline.sample, (pipeline.fit1, pipeline.fit0)
     y_min, shifts = np.array([f.y_min for f in fits]), np.array([f.shift for f in fits])
 
     def refit(draws: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,27 +185,8 @@ def _frozen_draws(sample: _FrozenSample, cfg, b, rng_for_draw, draws=None):
             idx[row] = rng_for_draw(t).choice(sample.rank.size, size=b, replace=False)
         idx.sort(axis=1)
         # np.take gathers with the small rank type much faster than indexing
-        units = np.take(sample.rank, idx)
+        ys, at_knot, sums, ok = arm_cdf_rows(sample, np.take(sample.rank, idx))
         del idx
-        if sample.wd is not None:
-            mass = np.take(sample.wd, units).mean(axis=1)
-            ok = np.abs(mass) >= KAPPA_EPS
-            totals = np.where(ok, b * mass, np.nan)
-        if sample.ties:
-            units = np.take_along_axis(units, np.argsort(np.take(sample.y, units), axis=1), axis=1)
-        else:
-            units.sort(axis=1)
-        ys = np.take(sample.y, units)
-        at_knot, sums = step_sums(ys, np.take(sample.weights, units, axis=1))
-        del units
-        if sample.wd is None:
-            # arm counts; an arm's knots are the knots where its count rose
-            counts = sums[:, :, -1]
-            ok = (counts > 0.0).all(axis=0)
-            totals = np.where(counts > 0.0, counts, np.nan)
-            last = np.maximum.accumulate(np.where(at_knot, sums, 0.0), axis=-1)
-            at_knot = at_knot & (np.diff(last, axis=-1, prepend=0.0) > 0.0)
-        sums /= totals[..., None]
         knots = ys + shifts[:, None, None]
         # fits read each row from its last knot below the threshold on;
         # column 0 of values carries the view's running maximum up to there
@@ -257,7 +203,7 @@ def _frozen_draws(sample: _FrozenSample, cfg, b, rng_for_draw, draws=None):
         alpha, survival = _frozen_index(
             knots[..., start:].reshape(-1, width), view[..., 1:].reshape(-1, width),
             marks[..., 1:].reshape(-1, width), np.repeat(y_min, len(draws)),
-            sample.pipeline.settings.omega,
+            pipeline.settings.omega,
         )
         alpha, survival = alpha.reshape(2, -1).T, survival.reshape(2, -1).T
         return alpha, survival, ~ok | degenerate.any(axis=0) | (alpha < 0.0).any(axis=1)

@@ -18,7 +18,7 @@ import numpy as np
 from .cdf_iv import LogitModel, fit_logit, kappa_cdf
 from .cdf_rdd import arm_threshold, rdd_cdf, rot_bandwidth
 from .core import (
-    DegenerateDenominator, ObservationSet, StepCdf, flip_outcomes, step_sums, tail_view
+    ObservationSet, RankedSample, StepCdf, flip_outcomes, rank_sample, ranked_cdfs, tail_view
 )
 from .tail import TailFit, fit_arm, fit_tail
 
@@ -51,7 +51,8 @@ class EstimatorSettings:
 class FittedPipeline:
     """Fitted CDFs and tails on the analysis scale. data holds the
     outcomes as fitted (negated when tail_side is "lower"); logit is the
-    full-sample propensity model of the IV design, None otherwise."""
+    full-sample propensity model of the IV design, sample the ranked
+    sample that IV and direct CDFs and draws are built from (else None)."""
 
     data: ObservationSet
     settings: EstimatorSettings
@@ -61,16 +62,8 @@ class FittedPipeline:
     fit1: TailFit
     fit0: TailFit
     logit: LogitModel | None = None
+    sample: RankedSample | None = None
     meta: dict = field(default_factory=dict)
-
-
-def ecdf(y: np.ndarray) -> StepCdf:
-    """Empirical CDF of a sample as a step function."""
-    ys = np.sort(np.asarray(y, dtype=float))
-    if ys.size == 0:
-        raise DegenerateDenominator("empty arm: no observations to build a CDF from")
-    at_knot, counts = step_sums(ys, np.ones(ys.size))
-    return StepCdf(ys[at_knot], counts[at_knot] / ys.size)
 
 
 def fit_pipeline(
@@ -103,7 +96,7 @@ def fit_pipeline(
     if tail_side == "lower":
         data = flip_outcomes(data)
 
-    logit = None
+    logit = sample = None
     if data.design == "rdd":
         h = rot_bandwidth(data.r)
         pair = rdd_cdf(data, h=h)
@@ -120,10 +113,12 @@ def fit_pipeline(
             logit = fit_logit(data.x, data.z)
             meta = {"gamma": logit.gamma, "logit_iterations": logit.iterations}
             pair = kappa_cdf(data, logit, p_trim=settings.trim)
-            cdf1, cdf0 = pair.beta1, pair.beta0
+            cdf1, cdf0, sample = pair.beta1, pair.beta0, pair.sample
         else:
-            cdf1, cdf0 = ecdf(data.y[data.d == 1]), ecdf(data.y[data.d == 0])
+            sample = rank_sample(data.y, np.stack([data.d, 1 - data.d]).astype(float))
+            cdf1, cdf0 = ranked_cdfs(sample)
         fit1 = fit_tail(tail_view(cdf1), level=settings.ymin_level, omega=settings.omega)
         fit0 = fit_tail(tail_view(cdf0), level=settings.ymin_level, omega=settings.omega)
     return FittedPipeline(data=data, settings=settings, tail_side=tail_side, cdf1=cdf1,
-                          cdf0=cdf0, fit1=fit1, fit0=fit0, logit=logit, meta=meta)
+                          cdf0=cdf0, fit1=fit1, fit0=fit0, logit=logit, sample=sample,
+                          meta=meta)

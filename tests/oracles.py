@@ -2,11 +2,12 @@
 
 Most use numerical quadrature and plain per-side kernel means, so none
 of them shares code paths with the closed-form estimators they check.
-The scalar tail-index fit (pareto_index, with _tail_segments) and the
-per-draw frozen-threshold recipe (frozen_draws, with subset_cdfs and
-_tail_at_frozen_threshold) are the library's former implementations;
-the row engines (tail.tail_index_rows and the frozen-threshold draws)
-must match them bit for bit.
+The scalar tail-index fit (pareto_index, with _tail_segments), the
+direct design's empirical CDF (ecdf) and the per-draw frozen-threshold
+recipe (frozen_draws, with subset_cdfs and _tail_at_frozen_threshold)
+are the library's former implementations; the row engines
+(tail.tail_index_rows, core.arm_cdf_rows and the frozen-threshold
+draws) must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from xqte.core import (
     DegenerateDenominator, EstimationError, ObservationSet, StepCdf, evaluate, step_sums,
     tail_view,
 )
-from xqte.pipeline import ecdf
 from xqte.tail import EmptyTail, NonPositiveSurvival, TailFit, _scale_from
 
 
@@ -204,6 +204,15 @@ def _tail_at_frozen_threshold(cdf: StepCdf, full_fit: TailFit) -> tuple[float, f
     return fit.alpha_hat, fit.s_min
 
 
+def ecdf(y: np.ndarray) -> StepCdf:
+    """Empirical CDF of a sample as a step function."""
+    ys = np.sort(np.asarray(y, dtype=float))
+    if ys.size == 0:
+        raise DegenerateDenominator("empty arm: no observations to build a CDF from")
+    at_knot, counts = step_sums(ys, np.ones(ys.size))
+    return StepCdf(ys[at_knot], counts[at_knot] / ys.size)
+
+
 def subset_cdfs(pipeline, idx: np.ndarray) -> tuple[StepCdf, StepCdf]:
     """Treated and control CDFs refitted on the rows idx of the fitted
     data, for the IV and direct designs.
@@ -225,7 +234,7 @@ def subset_cdfs(pipeline, idx: np.ndarray) -> tuple[StepCdf, StepCdf]:
     if abs(denom) < DENOM_EPS:
         raise DegenerateDenominator(f"complier mass estimate {denom:.3e} below {DENOM_EPS}")
     y = data.y[idx]
-    order = np.argsort(y)
+    order = np.argsort(y, kind="stable")
     ys = y[order]
     at_knot, sums = step_sums(ys, np.stack([w1[order], w0[order]]))
     vals1, vals0 = sums[:, at_knot] / (y.size * denom)

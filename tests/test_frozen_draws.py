@@ -22,9 +22,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from xqte import core, inference
+from xqte import cdf_iv, core, inference
+from xqte.cdf_iv import kappa_cdf, kappa_weights, logistic
 from xqte.core import EstimationError, ObservationSet, substream
-from xqte.inference import SubsampleConfig, UnstableSubsampling, subsample_tail_pairs
+from xqte.inference import (
+    SubsampleConfig, UnstableSubsampling, estimate_qte_batch, subsample_tail_pairs,
+)
 from xqte.pipeline import EstimatorSettings, fit_pipeline
 from xqte.simulate import gen_iv
 
@@ -101,11 +104,13 @@ def frozen_samples(draw):
     level=st.sampled_from([0.8, 0.9, 0.975]),
     lower=st.booleans(),
     raw=st.booleans(),
+    omega=st.sampled_from([1.0, 2.0]),
     seed=st.integers(0, 1000),
 )
-def test_row_path_matches_per_draw_oracle(data, b_share, chunk, level, lower, raw, seed):
+def test_row_path_matches_per_draw_oracle(data, b_share, chunk, level, lower, raw, omega, seed):
     try:
-        pipe = fit_pipeline(data, EstimatorSettings(ymin_level=level), "lower" if lower else "upper")
+        pipe = fit_pipeline(data, EstimatorSettings(omega=omega, ymin_level=level),
+                            "lower" if lower else "upper")
     except EstimationError:
         assume(False)
     b = max(2, min(data.n - 1, round(b_share * data.n)))
@@ -225,3 +230,88 @@ def test_chunk_boundaries_inside_a_workers_block(design, workers):
             mock.patch.object(core, "FORK_MIN_ROWS", 0):
         assert core.fork_workers(cfg.draws, 40 * cfg.draws) == workers
         check_draws(pipe, cfg, 13)
+
+
+def strong_instrument_set(seed, n, coef):
+    """gen_iv's complier types and effects under an instrument whose
+    logit index on two covariates has coefficients (coef, -coef)."""
+    rng = substream(seed, 0)
+    x = rng.standard_normal((n, 2))
+    z = (rng.random(n) < logistic(x @ np.array([coef, -coef]))).astype(int)
+    types = rng.integers(3, size=n)
+    d = ((types == 0) | ((types == 1) & (z == 1))).astype(int)
+    return ObservationSet(design="iv", y=rng.standard_t(3.0, n) + d, d=d, z=z, x=x)
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_trimmed_propensities_in_the_fit_and_the_draws(side):
+    # a strong instrument puts 75 of 600 fitted propensities outside
+    # [trim, 1 - trim]; the fit and the draws clip them as the oracle does
+    data = strong_instrument_set(21, 600, 2.0)
+    pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9), side)
+    p_hat, trim = pipe.logit.propensity(data.x), pipe.settings.trim
+    assert ((p_hat < trim) | (p_hat > 1.0 - trim)).sum() > 50
+    untrimmed = kappa_cdf(pipe.data, pipe.logit, p_trim=0.0)
+    assert bits(untrimmed.beta1.values) != bits(pipe.cdf1.values)
+    assert bits(untrimmed.beta0.values) != bits(pipe.cdf0.values)
+    for cdf, ref in zip((pipe.cdf1, pipe.cdf0), oracles.subset_cdfs(pipe, np.arange(data.n))):
+        assert bits(cdf.knots) == bits(ref.knots)
+        assert bits(cdf.values) == bits(ref.values)
+    check_draws(pipe, SubsampleConfig(b=150, draws=100, max_failure_share=0.5), 22)
+
+
+def stable_order_cdf(y, w, total):
+    """Running sums of w over the units in outcome order, tied units in
+    input row order (Python's sort is stable), read at each distinct
+    outcome and divided by total. The first sum is the first weight
+    itself, -0.0 included, as in a cumulative sum."""
+    knots, sums, running = [], [], -0.0
+    for i in sorted(range(len(y)), key=lambda i: y[i]):
+        running += w[i]
+        if knots and knots[-1] == y[i]:
+            sums[-1] = running
+        else:
+            knots.append(y[i])
+            sums.append(running)
+    return np.array(knots), np.array(sums) / total
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_tied_outcomes_are_summed_in_input_row_order(side):
+    # outcomes rounded to 0.1: about 60 distinct values among 500 units
+    data = gen_iv(substream(23, 0), 500).data
+    data = ObservationSet(design="iv", y=np.round(data.y, 1), d=data.d, z=data.z, x=data.x)
+    pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9), side)
+    y, n = pipe.data.y, pipe.data.n
+    pair = kappa_cdf(pipe.data, pipe.logit, pipe.settings.trim)
+    w1, w0, wd = kappa_weights(pipe.data, pipe.logit, pipe.settings.trim)
+    total = n * float(np.mean(wd))
+    reordered = 0
+    for cdf, fitted, w in ((pair.beta1, pipe.cdf1, w1), (pair.beta0, pipe.cdf0, w0)):
+        knots, values = stable_order_cdf(y, w, total)
+        assert bits(cdf.knots) == bits(fitted.knots) == bits(knots)
+        assert bits(cdf.values) == bits(fitted.values) == bits(values)
+        # summed with ties in reverse input row order, the values change
+        reordered += bits(stable_order_cdf(y[::-1], w[::-1], total)[1]) != bits(values)
+    assert reordered == 2
+    # at b = n every draw is the full sample in the fit's sum order
+    cfg = SubsampleConfig(b=n, draws=100)
+    alphas, survivals, failed = inference._frozen_draws(pipe, cfg, n, lambda t: substream(24, t))
+    assert not failed.any()
+    assert bits(alphas) == bits(np.tile([pipe.fit1.alpha_hat, pipe.fit0.alpha_hat], (100, 1)))
+    assert bits(survivals) == bits(np.tile([pipe.fit1.s_min, pipe.fit0.s_min], (100, 1)))
+    ref_alphas, ref_survivals, _, ref_failed = oracles.frozen_draws(
+        pipe, cfg, n, lambda t: substream(24, t))
+    assert ref_failed == 0
+    assert bits(alphas) == bits(ref_alphas) and bits(survivals) == bits(ref_survivals)
+
+
+def test_an_iv_fit_and_its_draws_weight_and_rank_the_sample_once():
+    data = gen_iv(substream(9, 2), 400).data
+    with mock.patch.object(cdf_iv, "kappa_weights", wraps=kappa_weights) as weigh, \
+            mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9), "lower")
+        estimate_qte_batch(pipe, [0.02, 0.025], SubsampleConfig(draws=100),
+                           lambda t: substream(25, t))
+    assert weigh.call_count == 1
+    assert argsort.call_count == 1

@@ -131,8 +131,7 @@ class TestFullSampleDegenerate:
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
         cfg = SubsampleConfig(b=data.n, draws=100)
         # validate rejects b = n, so the draws are run directly
-        sample = inference._frozen_sample(pipe)
-        alphas, survivals, failed = inference._frozen_draws(sample, cfg, data.n, draw_stream(3))
+        alphas, survivals, failed = inference._frozen_draws(pipe, cfg, data.n, draw_stream(3))
         assert not failed.any()
         thresholds = np.tile([pipe.fit1.y_min, pipe.fit0.y_min], (cfg.draws, 1))
         tails = TailDraws(alphas, survivals, thresholds, 0)

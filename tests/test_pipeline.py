@@ -4,11 +4,11 @@ import pytest
 from xqte.cdf_rdd import arm_threshold, rdd_cdf, rot_bandwidth
 from xqte.core import DegenerateDenominator, ObservationSet, evaluate, substream
 from xqte.inference import estimate_qte_batch
-from xqte.pipeline import EstimatorSettings, ecdf, fit_pipeline
+from xqte.pipeline import EstimatorSettings, fit_pipeline
 from xqte.simulate import gen_rdd
 from xqte.tail import ShiftMergesKnots, extrapolated_quantiles
 
-from oracles import subset_cdfs
+from oracles import ecdf, subset_cdfs
 
 
 def direct_set(y0, y1):
