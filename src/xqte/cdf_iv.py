@@ -67,9 +67,10 @@ def fit_logit(
     """Logit MLE of z on x by Newton steps with step halving.
 
     Starts at gamma = 0. Convergence is declared when the sup norm of the
-    mean gradient x'(z - p)/n drops to tol. Raises SeparationDetected if
-    the index passes the separation bound at every informative row, and
-    NoConvergence when max_iter is exhausted.
+    mean gradient x'(z - p)/n drops to tol. Raises DegenerateDenominator
+    for a constant z, SeparationDetected if the index passes the
+    separation bound at every informative row, and NoConvergence when
+    max_iter is exhausted.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -78,7 +79,7 @@ def fit_logit(
     if not np.all((z == 0) | (z == 1)):
         raise ValueError("z must be 0/1 valued")
     if z.min() == z.max():
-        raise ValueError("z is constant; logit is not identified")
+        raise DegenerateDenominator("z is constant; logit is not identified")
     n, k = x.shape
     informative = np.any(x != 0.0, axis=1)
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateDenominator, EstimationError, ObservationSet, StepCdf, step_sums
-
-DENOM_EPS = 1e-10
+from .core import (
+    DENOM_EPS, DegenerateDenominator, EstimationError, ObservationSet, StepCdf, step_sums,
+)
 
 
 class ZeroVariance(EstimationError):

@@ -27,8 +27,9 @@ class EstimationError(Exception):
 
 
 class DegenerateDenominator(EstimationError):
-    """Estimated complier mass is numerically zero; the design carries no
-    identifying variation for the counterfactual CDFs."""
+    """Estimated complier mass is numerically zero, or the instrument is
+    constant; the design carries no identifying variation for the
+    counterfactual CDFs."""
 
 
 def _check_finite(arr: np.ndarray, name: str) -> np.ndarray:

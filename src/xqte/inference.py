@@ -19,16 +19,19 @@ rows are concatenated in draw order. Every row is fitted independently
 of the rows computed with it, so the draws are the same bit for bit at
 any worker count.
 
-Both engines refit a chunk of draws at a time from the full sample
-ranked by outcome once, stably: a chunk gathers its draws as a
+One engine (_draws) refits a chunk of draws at a time from the full
+sample ranked by outcome once, stably: a chunk gathers its draws as a
 (draws x b) matrix in index order, for the sums whose order matters,
-then sorts each draw's ranks (tied outcomes stay in input row order),
-and the CDFs, proper-CDF views and tail indices (tail.tail_index_rows)
-of both arms come from row-wise array operations on one stack of rows.
-The frozen-threshold designs read the fit's ranked sample through its
-own CDF routine (core.arm_cdf_rows), fitting only the columns from the
-last knot below each threshold on; the discontinuity design keeps each
-draw's bandwidth window. Both equal their per-draw recipes bit for bit.
+then sorts each draw's ranks (tied outcomes stay in input row order).
+A row stage per design turns them into both arms' CDF rows, stacked:
+the frozen-threshold designs read the fit's ranked sample through its
+own CDF routine (core.arm_cdf_rows); the discontinuity design
+re-selects each draw's bandwidth, window, jump-ratio CDFs and arm
+thresholds. One tail stage then fits every row on its proper-CDF view
+(tail.tail_index_rows), from the last knot below the thresholds on,
+with one flat-tail rule whose only design input is the threshold
+survival: pinned, or realized by the draw. The draws equal their
+per-draw recipes bit for bit.
 """
 
 from __future__ import annotations
@@ -40,22 +43,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cdf_rdd import (
-    DENOM_EPS,
-    arm_threshold_rows,
-    jump_ratio_rows,
-    kernel_weights,
-    rot_bandwidths,
-    side_masses,
+    arm_threshold_rows, jump_ratio_rows, kernel_weights, rot_bandwidths, side_masses,
 )
-from .core import EstimationError, arm_cdf_rows, fork_map, fork_workers, tail_view_rows
+from .core import DENOM_EPS, EstimationError, arm_cdf_rows, fork_map, fork_workers, tail_view_rows
 from .pipeline import FittedPipeline
 from .tail import TailFit, extrapolated_quantiles, qte_point, tail_index_rows
 
 # entries per (draws x b) matrix in one chunk of subsample draws. A
-# chunk keeps a few such matrices of 8-byte entries alive at once (two
-# per arm stack in the frozen-threshold draws, about three in the
-# discontinuity draws; ranks and masks are smaller); larger chunks spend
-# less time in per-call overhead but raise the process's peak memory.
+# chunk keeps several such matrices of 8-byte entries alive at once
+# (each stack of both arms' knots, values or views counts two; ranks
+# and masks are smaller); larger chunks spend less time in per-call
+# overhead but raise the process's peak memory.
 CHUNK_ELEMENTS = 2**14
 
 # Convergence-rate exponent per design: the scaled dispersion
@@ -114,7 +112,8 @@ class TailDraws:
     alphas, survivals and thresholds all have shape (n_kept, 2), column
     0 for the treated arm and column 1 for the control arm. Designs
     with frozen thresholds repeat the full-sample threshold in every
-    row; the discontinuity design re-selects thresholds per draw.
+    row; the discontinuity design re-selects thresholds per draw and
+    repeats its pinned threshold survival.
     """
 
     alphas: np.ndarray
@@ -128,8 +127,8 @@ def subsample_tail_pairs(
     cfg: SubsampleConfig,
     rng_for_draw: Callable[[int], np.random.Generator],
 ) -> TailDraws:
-    """Per-draw tail re-estimates: (index, survival) pairs at the frozen
-    thresholds, or (index, threshold) pairs for the discontinuity design.
+    """Per-draw tail re-estimates of both arms: index, threshold survival
+    and threshold, from the draw engine (_draws).
 
     A draw fails when its refit would raise an EstimationError or either
     index comes out negative; more than max_failure_share failures
@@ -137,115 +136,88 @@ def subsample_tail_pairs(
     not a permutation.
     """
     b = cfg.validate(pipeline.data.n)
-    rdd = pipeline.data.design == "rdd"
-    # the pipeline, with its ranked sample, reaches the workers by fork
-    engine = _rdd_draws if rdd else _frozen_draws
+    # the pipeline, with its ranked sample, reaches the workers by fork;
     # one contiguous block of draw numbers per worker, concatenated in
     # draw order; a draw's row does not depend on the rows fitted with it
     workers = fork_workers(cfg.draws, b * cfg.draws)
     bounds = [cfg.draws * k // workers for k in range(workers + 1)]
-    parts = fork_map(engine, [
+    parts = fork_map(_draws, [
         (pipeline, cfg, b, rng_for_draw, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
     ], b * cfg.draws)
-    alphas, per_draw, failed_draws = map(np.concatenate, zip(*parts))
-    alphas, per_draw = alphas[~failed_draws], per_draw[~failed_draws]
-    fits = (pipeline.fit1, pipeline.fit0)
-    frozen = np.tile([fit.s_min if rdd else fit.y_min for fit in fits], (len(alphas), 1))
-    survivals, thresholds = (frozen, per_draw) if rdd else (per_draw, frozen)
+    *columns, failed_draws = map(np.concatenate, zip(*parts))
     failed = int(failed_draws.sum())
     if failed > cfg.max_failure_share * cfg.draws:
         raise UnstableSubsampling(
             f"{failed} of {cfg.draws} subsample draws failed; "
             "the tail fit is too fragile at this sample size"
         )
-    return TailDraws(alphas=alphas, survivals=survivals, thresholds=thresholds, failed=failed)
+    return TailDraws(*(column[~failed_draws] for column in columns), failed=failed)
 
 
-def _frozen_draws(pipeline, cfg, b, rng_for_draw, draws=None):
-    """Draws at the frozen full-sample thresholds for the draw numbers in
-    draws (all of them when omitted), a chunk of draws at a time.
+def _draws(pipeline, cfg, b, rng_for_draw, draws=None):
+    """Subsample draws for the draw numbers in draws (all of them when
+    omitted), a chunk of draws at a time.
 
-    Each draw runs its units' ranks through the fit's CDF routine
-    (core.arm_cdf_rows) with the full-sample weights (refitting the
-    root-n propensity per draw would only add noise that the rate
-    correction misattributes to the tail statistic), then fits each
-    arm's index on the proper-CDF view at the frozen threshold, on the
-    full fit's shifted scale.
+    The design's row stage (_frozen_rows, or _rdd_rows for the
+    discontinuity design) turns a chunk's sorted unit indices into both
+    arms' CDF rows and thresholds on the full fit's shifted scale, and
+    _fit_rows fits every row's tail. The discontinuity design pins each
+    draw's threshold survival at the full fit's nominal level; the
+    others read it off the draw.
 
-    Returns (alphas, survivals, failed) for each draw: (draws, 2) arrays
-    with arm 1 in column 0, and a mask of the draws that fail: no CDF
-    (arm_cdf_rows), a view never above 0, or a negative index.
+    Returns (alphas, survivals, thresholds, failed) for each draw:
+    (draws, 2) arrays with arm 1 in column 0, and a mask of the draws
+    that fail: a refit that would raise an EstimationError (the row
+    stage's ok), a view never above 0, or a negative index.
     """
-    sample, fits = pipeline.sample, (pipeline.fit1, pipeline.fit0)
-    y_min, shifts = np.array([f.y_min for f in fits]), np.array([f.shift for f in fits])
+    n, omega, fits = pipeline.data.n, pipeline.settings.omega, (pipeline.fit1, pipeline.fit0)
+    if pipeline.data.design == "rdd":
+        rows, s_min = _rdd_rows(pipeline), np.array([[fit.s_min] for fit in fits])
+    else:
+        rows, s_min = _frozen_rows(pipeline), None
 
-    def refit(draws: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        idx = np.empty((len(draws), b), dtype=np.intp)
-        for row, t in enumerate(draws):
-            idx[row] = rng_for_draw(t).choice(sample.rank.size, size=b, replace=False)
+    def refit(chunk: range) -> tuple[np.ndarray, ...]:
+        idx = np.empty((len(chunk), b), dtype=np.intp)
+        for row, t in enumerate(chunk):
+            idx[row] = rng_for_draw(t).choice(n, size=b, replace=False)
         idx.sort(axis=1)
-        # np.take gathers with the small rank type much faster than indexing
-        ys, at_knot, sums, ok = arm_cdf_rows(sample, np.take(sample.rank, idx))
+        knots, at_knot, values, thresholds, ok = rows(idx)
         del idx
-        knots = ys + shifts[:, None, None]
-        # fits read each row from its last knot below the threshold on;
-        # column 0 of values carries the view's running maximum up to there
-        start = max(int(np.count_nonzero(knots < y_min[:, None, None], axis=-1).min()) - 1, 0)
-        width = b - start
-        values = np.empty(sums.shape[:-1] + (width + 1,))
-        values[..., 0] = np.where(at_knot[..., :start], sums[..., :start], -np.inf).max(
-            axis=-1, initial=-np.inf)
-        values[..., 1:] = sums[..., start:]
-        marks = np.ones(values.shape, dtype=bool)
-        marks[..., 1:] = at_knot[..., start:]
-        del sums, at_knot
-        view, degenerate = tail_view_rows(values, marks)
-        alpha, survival = _frozen_index(
-            knots[..., start:].reshape(-1, width), view[..., 1:].reshape(-1, width),
-            marks[..., 1:].reshape(-1, width), np.repeat(y_min, len(draws)),
-            pipeline.settings.omega,
-        )
-        alpha, survival = alpha.reshape(2, -1).T, survival.reshape(2, -1).T
-        return alpha, survival, ~ok | degenerate.any(axis=0) | (alpha < 0.0).any(axis=1)
+        alpha, survival, degenerate = _fit_rows(knots, at_knot, values, thresholds, omega, s_min)
+        failed = ~ok | degenerate.any(axis=0) | (alpha < 0.0).any(axis=0)
+        return alpha.T, survival.T, thresholds.T, failed
 
-    return _chunked(refit, range(cfg.draws) if draws is None else draws, b)
-
-
-def _frozen_index(knots, view, at_knot, y_min, omega):
-    """(index, threshold survival) of each row's tail (tail_index_rows).
-    Nothing to fit is the flat tail of an infinitely fast decay: index
-    inf, survival 0, which extrapolates to the threshold itself. An index
-    of exactly 0 (constant survival beyond the threshold) is inf too but
-    keeps its survival; a negative index is returned as it is."""
-    alpha, s_min = tail_index_rows(knots, view, at_knot, y_min, omega)
-    empty = np.isnan(alpha)
-    return np.where(empty | (alpha == 0.0), np.inf, alpha), np.where(empty, 0.0, s_min)
-
-
-def _chunked(refit, draws: range, b: int) -> tuple[np.ndarray, ...]:
-    """refit's arrays for draws, concatenated over chunks of CHUNK_ELEMENTS // b draws."""
+    draws = range(cfg.draws) if draws is None else draws
     step = max(1, CHUNK_ELEMENTS // b)
     with np.errstate(divide="ignore", invalid="ignore"):
         parts = [refit(draws[lo:lo + step]) for lo in range(0, len(draws), step)]
     return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _rdd_draws(pipeline, cfg, b, rng_for_draw, draws=None):
-    """Discontinuity draws for the draw numbers in draws (all of them
-    when omitted), a chunk of draws at a time.
+def _frozen_rows(pipeline):
+    """Row stage of the instrument and direct designs: each draw runs its
+    units' ranks through the fit's CDF routine (core.arm_cdf_rows) with
+    the full-sample weights (refitting the root-n propensity per draw
+    would only add noise that the rate correction misattributes to the
+    tail statistic), at the frozen full-sample thresholds. A draw fails
+    when it has no CDF."""
+    sample, fits = pipeline.sample, (pipeline.fit1, pipeline.fit0)
+    y_min, shifts = np.array([[f.y_min] for f in fits]), np.array([f.shift for f in fits])
 
-    Each draw repeats the full-sample recipe on its subset: its own
-    rule-of-thumb bandwidth, jump-ratio CDFs and kernel-weighted arm
-    thresholds; then each arm's index on the proper-CDF view at the
-    re-selected threshold, on the full fit's shifted scale. A threshold
-    at or below 0 there, or a degenerate tail, gives the flat-tail
-    index inf, as in the full-sample fallback; the draw's threshold
-    survival stays pinned at the nominal level.
+    def rows(idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        # np.take gathers with the small rank type much faster than indexing
+        ys, at_knot, sums, ok = arm_cdf_rows(sample, np.take(sample.rank, idx))
+        return ys + shifts[:, None, None], at_knot, sums, np.broadcast_to(y_min, (2, ok.size)), ok
 
-    Returns (alphas, thresholds, failed) for each draw: (draws, 2)
-    arrays with arm 1 in column 0, and a mask of the draws whose refit
-    would raise an EstimationError.
-    """
+    return rows
+
+
+def _rdd_rows(pipeline):
+    """Row stage of the discontinuity design: each draw repeats the
+    full-sample recipe on its subset, with its own rule-of-thumb
+    bandwidth, jump-ratio CDFs and kernel-weighted arm thresholds, and
+    keeps only its bandwidth window. A draw fails when its refit would
+    raise an EstimationError."""
     data, settings = pipeline.data, pipeline.settings
     n = data.n
     order = np.argsort(data.y, kind="stable")
@@ -262,17 +234,11 @@ def _rdd_draws(pipeline, cfg, b, rng_for_draw, draws=None):
     arms = (1, 0)
     shifts = np.array([[pipeline.fit1.shift], [pipeline.fit0.shift]])
 
-    def refit(draws: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(alphas, thresholds, failed) of a chunk of draws.
-
-        Each matrix is dropped as soon as the next stage no longer needs
-        it, and the rest die on return, before the next chunk's: the
-        chunk's peak memory is what CHUNK_ELEMENTS is sized against.
-        """
-        idx = np.empty((len(draws), b), dtype=np.intp)
-        for row, t in enumerate(draws):
-            idx[row] = rng_for_draw(t).choice(n, size=b, replace=False)
-        idx.sort(axis=1)
+    def rows(idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each matrix is dropped as soon as the next stage no longer needs
+        it, and the rest die when the chunk is fitted, before the next
+        chunk's: the chunk's peak memory is what CHUNK_ELEMENTS is sized
+        against."""
         r, units = data.r[idx], rank[idx]
         above, below, taken = r > 0, r < 0, treated[idx]
         del idx
@@ -301,22 +267,45 @@ def _rdd_draws(pipeline, cfg, b, rng_for_draw, draws=None):
         thr, _ = arm_threshold_rows(ys, r, taken, w, inside, arms, settings.ymin_level)
         at_knot, betas = jump_ratio_rows(ys, r, taken, w, inside, s_above, s_below, jump)
         del r, taken, w, inside
-        view, _ = tail_view_rows(betas, at_knot)
-        del betas
-        th = thr + shifts
-        width = ys.shape[1]
-        alpha, _ = tail_index_rows(
-            (ys + shifts[:, :, None]).reshape(-1, width),
-            view.reshape(-1, width),
-            np.broadcast_to(at_knot, view.shape).reshape(-1, width),
-            th.ravel(),
-            settings.omega,
-        )
-        # nothing to fit, or an index at or below 0: the flat tail
-        alpha = np.where(alpha > 0.0, alpha, np.inf)
-        return alpha.reshape(2, -1).T, th.T, ~ok
+        return ys + shifts[:, :, None], at_knot, betas, thr + shifts, ok
 
-    return _chunked(refit, range(cfg.draws) if draws is None else draws, b)
+    return rows
+
+
+def _fit_rows(knots, at_knot, values, thresholds, omega, s_min=None):
+    """(alpha, survival, degenerate) of the tail of each row of raw CDF
+    values, shaped like thresholds (one per row): knots and values have
+    a last axis of entries, and at_knot broadcasts against them.
+
+    Each row is fitted (tail_index_rows) on its proper-CDF view
+    (tail_view_rows) from the last knot below the lowest threshold on;
+    column 0 of the view carries its running maximum up to there.
+    degenerate flags the views never above 0.
+
+    s_min, when given, pins the threshold survival; else it is the one
+    each row realizes. Nothing to fit is the flat tail of an infinitely
+    fast decay: index inf, which extrapolates to the threshold itself,
+    and a realized survival of 0. An index of exactly 0 (constant
+    survival beyond the threshold) is inf too but keeps its survival; a
+    negative index is returned as it is.
+    """
+    start = max(int(np.count_nonzero(knots < thresholds[..., None], axis=-1).min()) - 1, 0)
+    width = knots.shape[-1] - start
+    window = np.empty(values.shape[:-1] + (width + 1,))
+    window[..., 0] = np.where(at_knot[..., :start], values[..., :start], -np.inf).max(
+        axis=-1, initial=-np.inf)
+    window[..., 1:] = values[..., start:]
+    marks = np.ones(window.shape, dtype=bool)
+    marks[..., 1:] = at_knot[..., start:]
+    view, degenerate = tail_view_rows(window, marks)
+    alpha, realized = (out.reshape(thresholds.shape) for out in tail_index_rows(
+        knots[..., start:].reshape(-1, width), view[..., 1:].reshape(-1, width),
+        marks[..., 1:].reshape(-1, width), thresholds.ravel(), omega,
+    ))
+    empty = np.isnan(alpha)
+    survival = np.where(empty, 0.0, realized) if s_min is None else np.broadcast_to(
+        s_min, alpha.shape)
+    return np.where(empty | (alpha == 0.0), np.inf, alpha), survival, degenerate
 
 
 def qte_draws_from_tails(

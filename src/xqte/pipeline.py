@@ -83,8 +83,8 @@ def fit_pipeline(
     The discontinuity design does not select thresholds from the
     estimated CDF at all: each arm's threshold is the kernel-weighted
     quantile of that arm's outcomes near the cutoff (arm_threshold).
-    Subsampling re-selects them per draw the same way, in its own
-    batched engine (inference.subsample_tail_pairs). Its threshold
+    Subsampling re-selects them per draw the same way, in the draw
+    engine's own row stage (inference.subsample_tail_pairs). Its threshold
     survival is pinned at the nominal 1 - ymin_level, which the
     weighted-quantile threshold targets by construction, rather than
     read off the kernel-ratio CDF, whose first-stage noise is as large

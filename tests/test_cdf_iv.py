@@ -127,7 +127,7 @@ def test_fit_logit_converging_at_max_iter():
 
 
 def test_fit_logit_rejects_constant_z():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateDenominator, match="z is constant"):
         fit_logit(np.ones((4, 1)), np.zeros(4))
 
 

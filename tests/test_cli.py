@@ -342,6 +342,18 @@ class TestExitCodes:
         assert main(argv) == 4
         assert "estimation error (ShiftMergesKnots)" in capsys.readouterr().err
 
+    def test_constant_instrument_is_estimation_error(self, tmp_path, capsys):
+        # 500 rows with every z at 1: the propensity logit is not identified
+        src = tmp_path / "iv.csv"
+        write_gen_csv(src, "iv", 500, 0)
+        header = src.read_text().partition("\n")[0]
+        table = np.loadtxt(src, delimiter=",", skiprows=1)
+        table[:, header.split(",").index("z")] = 1.0
+        np.savetxt(src, table, fmt="%.17g", delimiter=",", header=header, comments="")
+        argv = ["estimate-iv", "--input", str(src), "--q", "0.02", "--out", str(tmp_path / "o")]
+        assert main(argv) == 4
+        assert "estimation error (DegenerateDenominator)" in capsys.readouterr().err
+
     def test_interior_target_is_estimation_error(self, tmp_path, capsys):
         src = tmp_path / "toy.csv"
         write_rdd_toy(src)

@@ -51,9 +51,7 @@ def on_cpus(cpus, log_dir, min_rows=0):
     with ExitStack() as stack:
         stack.enter_context(mock.patch.object(core, "_usable_cpus", return_value=cpus))
         stack.enter_context(mock.patch.object(core, "FORK_MIN_ROWS", min_rows))
-        for name in ("_frozen_draws", "_rdd_draws"):
-            engine = logged(getattr(inference, name))
-            stack.enter_context(mock.patch.object(inference, name, engine))
+        stack.enter_context(mock.patch.object(inference, "_draws", logged(inference._draws)))
         yield
 
 

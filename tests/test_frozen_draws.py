@@ -296,7 +296,7 @@ def test_tied_outcomes_are_summed_in_input_row_order(side):
     assert reordered == 2
     # at b = n every draw is the full sample in the fit's sum order
     cfg = SubsampleConfig(b=n, draws=100)
-    alphas, survivals, failed = inference._frozen_draws(pipe, cfg, n, lambda t: substream(24, t))
+    alphas, survivals, _, failed = inference._draws(pipe, cfg, n, lambda t: substream(24, t))
     assert not failed.any()
     assert bits(alphas) == bits(np.tile([pipe.fit1.alpha_hat, pipe.fit0.alpha_hat], (100, 1)))
     assert bits(survivals) == bits(np.tile([pipe.fit1.s_min, pipe.fit0.s_min], (100, 1)))

@@ -40,6 +40,23 @@ def draw_stream(*prefix):
     return lambda t: substream(47, *prefix, t)
 
 
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def design_sample(design, seed, n=5000):
+    """gen_iv data for the instrument and direct designs (the direct one
+    keeps y and d), gen_rdd data for the discontinuity design."""
+    if design == "rdd":
+        return gen_rdd(substream(53, seed), n).data
+    data = gen_iv(substream(53, seed), n).data
+    return data if design == "iv" else ObservationSet(design="direct", y=data.y, d=data.d)
+
+
+DESIGNS = ["iv", "rdd", "direct"]
+TAIL_LEVELS = {"lower": [0.01, 0.02, 0.025], "upper": [0.975, 0.98, 0.99]}
+
+
 def rate_ratio(design, b, n):
     draws = np.array([0.0, 1.0])
     return subsampling_ci(draws, 0.5, SubsampleConfig(b=b), design, n).rate_ratio
@@ -124,27 +141,47 @@ class TestSubsamplingCi:
 
 class TestFullSampleDegenerate:
     """With b = n every draw is the full sample, so the draws must
-    reproduce the point estimate bit for bit."""
+    reproduce each arm's fit (alpha_hat, s_min, y_min) and the point
+    estimate bit for bit, in every design."""
+
+    @staticmethod
+    def check_draws_equal_fit(pipe):
+        n = pipe.data.n
+        cfg = SubsampleConfig(b=n, draws=100)
+        # validate rejects b = n, so the draws are run directly
+        alphas, survivals, thresholds, failed = inference._draws(pipe, cfg, n, draw_stream(3))
+        assert not failed.any()
+        for arm, fit in enumerate((pipe.fit1, pipe.fit0)):
+            assert bits(alphas[:, arm]) == bits(np.full(cfg.draws, fit.alpha_hat))
+            assert bits(survivals[:, arm]) == bits(np.full(cfg.draws, fit.s_min))
+            assert bits(thresholds[:, arm]) == bits(np.full(cfg.draws, fit.y_min))
+        tails = TailDraws(alphas, survivals, thresholds, 0)
+        level = 0.95
+        draws = qte_draws_from_tails(pipe.fit1, pipe.fit0, tails, level)
+        point = qte_point(pipe.fit1, pipe.fit0, level)
+        assert np.all(draws == point)
+        ci = subsampling_ci(draws, point, cfg, pipe.data.design, n)
+        assert ci.lo == point == ci.hi
 
     def test_draws_equal_point(self):
         data = direct_set(pareto(1, 200, 2.0), pareto(2, 200, 2.0, scale=2.0))
-        pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
-        cfg = SubsampleConfig(b=data.n, draws=100)
-        # validate rejects b = n, so the draws are run directly
-        alphas, survivals, failed = inference._frozen_draws(pipe, cfg, data.n, draw_stream(3))
-        assert not failed.any()
-        thresholds = np.tile([pipe.fit1.y_min, pipe.fit0.y_min], (cfg.draws, 1))
-        tails = TailDraws(alphas, survivals, thresholds, 0)
-        assert np.all(tails.alphas[:, 0] == pipe.fit1.alpha_hat)
-        assert np.all(tails.alphas[:, 1] == pipe.fit0.alpha_hat)
-        assert np.all(tails.survivals[:, 0] == pipe.fit1.s_min)
-        assert np.all(tails.survivals[:, 1] == pipe.fit0.s_min)
-        q = 0.95
-        draws = qte_draws_from_tails(pipe.fit1, pipe.fit0, tails, q)
-        point = qte_point(pipe.fit1, pipe.fit0, q)
-        assert np.all(draws == point)
-        ci = subsampling_ci(draws, point, cfg, pipe.data.design, data.n)
-        assert ci.lo == point == ci.hi
+        self.check_draws_equal_fit(fit_pipeline(data, EstimatorSettings(ymin_level=0.9)))
+
+    @pytest.mark.parametrize("sample", ["plain", "tied", "offset"])
+    @pytest.mark.parametrize("tail_side", ["lower", "upper"])
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_every_design_draws_equal_its_fit(self, design, tail_side, sample):
+        # tied rounds the outcomes to 0.1; offset moves them by 20 away
+        # from the tail, so that both thresholds sit below 0 on the
+        # analysis scale and the positivity shift applies
+        data = design_sample(design, 0, n=2000)
+        if sample == "tied":
+            data = replace(data, y=np.round(data.y, 1))
+        elif sample == "offset":
+            data = replace(data, y=data.y + (20.0 if tail_side == "lower" else -20.0))
+        pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9), tail_side)
+        assert (pipe.fit1.shift > 0.0 and pipe.fit0.shift > 0.0) == (sample == "offset")
+        self.check_draws_equal_fit(pipe)
 
 
 class TestIvReducesToDirect:
@@ -195,13 +232,15 @@ class TestIvReducesToDirect:
 
 class TestLabelSwap:
     """Swapping the treatment labels (d -> 1 - d, and z -> 1 - z in the
-    instrument design) trades the arms: the refitted propensity becomes
-    1 - p, under which the kappa weights w1 and w0 trade places and wd
-    stays. Every point estimate is negated, each interval [lo, hi] maps
-    to [-hi, -lo] and the failed-draw count is kept, within
-    IDENTITY_RTOL: the logit's Newton iterate and the weighted sums
-    round differently on the swapped labels, by about 1e-13 at most at
-    n = 2 x 10^4."""
+    instrument design; r stays in the discontinuity design) trades the
+    arms: the refitted propensity becomes 1 - p, under which the kappa
+    weights w1 and w0 trade places and wd stays, and the kernel jump
+    ratios of the two arms trade places. Every point estimate is
+    negated, each interval [lo, hi] maps to [-hi, -lo] and the
+    failed-draw count is kept, within IDENTITY_RTOL: the logit's Newton
+    iterate and the weighted sums round differently on the swapped
+    labels, by about 1e-13 at most at n = 2 x 10^4 (2.5e-13 in the
+    discontinuity design). A flat arm's infinite index compares equal."""
 
     IDENTITY_RTOL = 1e-12
     LEVELS = [0.01, 0.02, 0.025]
@@ -235,18 +274,13 @@ class TestLabelSwap:
         swapped = ObservationSet(design="direct", y=data.y, d=1 - data.d)
         self.check_swap(direct, swapped, seed)
 
-
-def design_sample(design, seed, n=5000):
-    """gen_iv data for the instrument and direct designs (the direct one
-    keeps y and d), gen_rdd data for the discontinuity design."""
-    if design == "rdd":
-        return gen_rdd(substream(53, seed), n).data
-    data = gen_iv(substream(53, seed), n).data
-    return data if design == "iv" else ObservationSet(design="direct", y=data.y, d=data.d)
-
-
-DESIGNS = ["iv", "rdd", "direct"]
-TAIL_LEVELS = {"lower": [0.01, 0.02, 0.025], "upper": [0.975, 0.98, 0.99]}
+    @pytest.mark.parametrize("seed", range(6))
+    def test_discontinuity_design(self, seed):
+        # the running variable stays: the first-stage jump changes sign,
+        # and each arm's takers, and so its threshold, become the other's
+        data = gen_rdd(substream(49, seed), 20_000).data
+        swapped = ObservationSet(design="rdd", y=data.y, d=1 - data.d, r=data.r)
+        self.check_swap(data, swapped, seed)
 
 
 class TestOutcomeScaling:
@@ -450,10 +484,12 @@ class TestFlatTailDraws:
 
     @staticmethod
     def frozen_tail(knots, values, y_min):
-        """(index, survival) of one subset CDF on the frozen draws' row path."""
+        """(index, survival) of one subset CDF on the draws' tail stage,
+        with the survival it realizes."""
         view = tail_view(StepCdf(knots, values))
-        (a,), (s,) = inference._frozen_index(
-            view.knots[None], view.values[None], True, np.array([y_min]), 1.0
+        (a,), (s,), _ = inference._fit_rows(
+            view.knots[None], np.ones(view.knots.size, dtype=bool), view.values[None],
+            np.array([y_min]), 1.0,
         )
         return a, s
 

@@ -198,7 +198,7 @@ class TestRddPipeline:
     @pytest.mark.parametrize("seed", range(12))
     def test_shifted_threshold_is_the_arm_threshold_plus_the_shift(self, seed):
         # the draws put each arm's threshold at thr + shift
-        # (inference._rdd_draws); the full-sample fit must sit on the same
+        # (inference._rdd_rows); the full-sample fit must sit on the same
         # point, not at exactly 1.0
         base = gen_rdd(substream(seed, 0), 10**4).data
         data = ObservationSet(design="rdd", y=base.y - 7.0, d=base.d, r=base.r)

@@ -222,7 +222,7 @@ def test_one_failed_arm_fails_the_whole_draw(taken_value):
     stream = lambda t: substream(7, t)  # noqa: E731
     assert not check_engine(pipe, cfg, 7)
     with mock.patch.object(inference, "CHUNK_ELEMENTS", 30 * b):
-        alphas, thresholds, failed = inference._rdd_draws(pipe, cfg, b, stream)
+        alphas, _, thresholds, failed = inference._draws(pipe, cfg, b, stream)
         with mock.patch.object(inference, "side_masses", force_one_arm_out(taken_value)):
             tails = subsample_tail_pairs(pipe, cfg, stream)
     assert not failed.any()
@@ -267,7 +267,7 @@ def test_first_stage_check_implies_no_arm_flags(data, b_share, chunk, lower, see
     seen = {name: [] for name in names}
     spies = {name: spy(seen, name) for name in names}
     with mock.patch.multiple(inference, CHUNK_ELEMENTS=chunk, **spies):
-        _, _, failed = inference._rdd_draws(pipe, cfg, b, lambda t: substream(seed, t))
+        *_, failed = inference._draws(pipe, cfg, b, lambda t: substream(seed, t))
     h = np.concatenate(seen["rot_bandwidths"])
     s_above, s_below, jump = (np.concatenate(parts) for parts in zip(*seen["side_masses"]))
     ok = (h > 0.0) & (s_above > 0.0) & (s_below > 0.0) & (np.abs(jump) >= DENOM_EPS)
