@@ -42,7 +42,15 @@ class LogitModel:
     iterations: int
 
     def propensity(self, x: np.ndarray) -> np.ndarray:
-        return logistic(np.asarray(x, dtype=float) @ self.gamma)
+        return logistic(linear_index(np.asarray(x, dtype=float), self.gamma))
+
+
+def linear_index(x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """x @ gamma for an (n, k) x, summed over the k columns in a fixed
+    order. np.einsum without optimize never calls BLAS, whose threaded
+    products change last bits with the thread count (and so with the
+    CPUs the process may run on)."""
+    return np.einsum("ik,k->i", x, gamma)
 
 
 def logistic(eta: np.ndarray) -> np.ndarray:
@@ -71,6 +79,10 @@ def fit_logit(
     for a constant z, SeparationDetected if the index passes the
     separation bound at every informative row, and NoConvergence when
     max_iter is exhausted.
+
+    Every product is a fixed-order reduction without BLAS (linear_index,
+    np.einsum), so the fit is the same bit for bit at any BLAS thread
+    count; only the k x k Newton system goes to np.linalg.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -84,17 +96,18 @@ def fit_logit(
     informative = np.any(x != 0.0, axis=1)
 
     gamma = np.zeros(k)
-    eta = x @ gamma
+    eta = linear_index(x, gamma)
     ll = _mean_loglik(eta, z)
     for it in range(max_iter + 1):
         p = logistic(eta)
-        grad = x.T @ (z - p) / n
+        grad = np.einsum("ik,i->k", x, z - p) / n
         if np.max(np.abs(grad)) <= tol:
             return LogitModel(gamma, it)
         if it == max_iter:
             break
         w = p * (1.0 - p)
-        hess = (x * w[:, None]).T @ x / n
+        # one column at a time: no (n, k) temporary of weighted rows
+        hess = np.array([np.einsum("i,ik->k", w * x[:, j], x) for j in range(k)]) / n
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -102,7 +115,7 @@ def fit_logit(
         scale = 1.0
         for _ in range(40):
             cand = gamma + scale * step
-            eta_cand = x @ cand
+            eta_cand = linear_index(x, cand)
             ll_cand = _mean_loglik(eta_cand, z)
             if ll_cand >= ll:
                 break
@@ -158,9 +171,17 @@ def kappa_cdf(
     one-row case (core.ranked_cdfs). The knot value convention is "just
     above": values[i] uses the strict indicator 1{Y <= knots[i]}, which
     equals 1{Y < y} for any y immediately above the knot.
+
+    A constant treatment raises DegenerateDenominator up front: its
+    complier mass is 0, but the estimate is sampling noise of order
+    n^-1/2, which the DENOM_EPS check would let through.
     """
     if data.design != "iv":
         raise ValueError("kappa_cdf needs an iv-design ObservationSet")
+    if data.d.min() == data.d.max():
+        raise DegenerateDenominator(
+            f"d is {data.d[0]} for every unit; there is no first stage and no complier"
+        )
     w1, w0, wd = kappa_weights(data, model, p_trim)
     denom = float(wd.mean())
     if abs(denom) < DENOM_EPS:

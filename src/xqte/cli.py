@@ -109,11 +109,11 @@ WRITE_BLOCK_ROWS = 4096
 
 
 def _write_rows(fh, *columns, lead: str = "") -> None:
-    """Write _fmt_rows of the whole table, WRITE_BLOCK_ROWS rows at a
-    time, so no artifact is ever held whole as Python objects."""
-    table = np.column_stack(columns)
-    for start in range(0, table.shape[0], WRITE_BLOCK_ROWS):
-        fh.write(_fmt_rows(table[start:start + WRITE_BLOCK_ROWS], lead=lead))
+    """Write _fmt_rows of the columns, WRITE_BLOCK_ROWS rows at a time,
+    so no artifact is ever held whole as a table or as Python objects."""
+    columns = [np.asarray(column) for column in columns]
+    for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+        fh.write(_fmt_rows(*(c[start:start + WRITE_BLOCK_ROWS] for c in columns), lead=lead))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,6 +494,9 @@ def cmd_estimate(cfg: RunConfig, settings: EstimatorSettings, sub: SubsampleConf
     except ValueError as exc:
         raise ConfigError(str(exc))
     pipe = fit_pipeline(data, settings, tail_side=cfg.tail_side)
+    # the fitted pipeline keeps no covariates: dropping the parsed set
+    # frees them before the draws
+    del data
     results = estimate_qte_batch(pipe, list(cfg.q), sub,
                                  lambda t: substream(cfg.seed, t))
     outdir = Path(cfg.out)
@@ -502,9 +505,9 @@ def cmd_estimate(cfg: RunConfig, settings: EstimatorSettings, sub: SubsampleConf
     write_paretofit_csv(outdir / "paretofit.csv", pipe)
     write_qte_csv(outdir / "qte.csv", results)
     meta = {
-        "n_rows": data.n,
+        "n_rows": pipe.data.n,
         "resolved_b": b,
-        "rate_exponent": RATE_EXPONENT[data.design],
+        "rate_exponent": RATE_EXPONENT[pipe.data.design],
         "flipped": pipe.tail_side == "lower",
         "discarded_draws": results[0].ci.n_failed,
         "arm1": _arm_summary(pipe.fit1),

@@ -323,17 +323,21 @@ def _wrapped_from_outside() -> bool:
     return any(hasattr(fn, "__wrapped__") for fn in functions)
 
 
-# rows a run touches (b per subsample draw, n per Monte Carlo
-# replication) from which it forks; below it, in end-to-end runs on 2
-# CPUs (CHANGES.md), forking saved no resolvable wall time and cost more CPU
-FORK_MIN_ROWS = 2**19
+# work, in rows, from which a run forks: the rows it touches plus a
+# fixed cost per subsample draw (inference.SubsampleConfig.work). Below
+# it, in end-to-end runs on 2 CPUs (CHANGES.md), forking saved no
+# resolvable wall time and cost more CPU: the instrument command ran
+# faster in process in most pairs on 10^4, 10^5 and 2 x 10^5 rows
+# (1,315,500 to 3,569,000 rows of work), while on 3 x 10^5 rows
+# (4,412,000) its forked draws took about half the wall time
+FORK_MIN_ROWS = 2**22
 
 
 def fork_workers(tasks: int, rows: int) -> int:
     """How many forked workers fork_map runs a list of tasks on, given
-    its length and the rows its work touches: one per usable CPU (the
-    CPUs this process may run on), at most one per task, and 1 for work
-    of fewer than FORK_MIN_ROWS rows, which then never imports
+    its length and its work in rows: one per usable CPU (the CPUs this
+    process may run on), at most one per task, and 1 for work of fewer
+    than FORK_MIN_ROWS rows, which then never imports
     multiprocessing. It is also 1 without the fork start method, inside a
     pool worker (a daemon process, which may not fork), while another
     Python thread is alive (a forked child inherits the locks that thread

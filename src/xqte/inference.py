@@ -13,16 +13,19 @@ subset so the draws carry the threshold noise as well.
 Draw streams come from a caller-supplied rng_for_draw(t) so results do
 not depend on worker count or draw order. The draws run on forked
 workers (core.fork_map), one per usable CPU, each on one contiguous
-block of the draw numbers, once their subsets hold core.FORK_MIN_ROWS
-rows in all; what they read reaches them by fork inheritance, and their
-rows are concatenated in draw order. Every row is fitted independently
-of the rows computed with it, so the draws are the same bit for bit at
-any worker count.
+block of the draw numbers, once their work (SubsampleConfig.work: b
+gathered rows plus DRAW_ROWS per draw) reaches core.FORK_MIN_ROWS rows;
+what they read reaches them by fork inheritance, and their rows are
+concatenated in draw order. Every row is fitted independently of the
+rows computed with it, so the draws are the same bit for bit at any
+worker count.
 
-One engine (_draws) refits a chunk of draws at a time from the full
-sample ranked by outcome once, stably: a chunk gathers its draws as a
-(draws x b) matrix in index order, for the sums whose order matters,
-then sorts each draw's ranks (tied outcomes stay in input row order).
+One engine (_draws) refits a chunk of draws at a time (as many as fit
+CHUNK_ELEMENTS entries per (draws x b) matrix, and at least
+MIN_CHUNK_DRAWS) from the full sample ranked by outcome once, stably: a
+chunk gathers its draws as a (draws x b) matrix in index order, for the
+sums whose order matters, then sorts each draw's ranks (tied outcomes
+stay in input row order).
 A row stage per design turns them into both arms' CDF rows, stacked:
 the frozen-threshold designs read the fit's ranked sample through its
 own CDF routine (core.arm_cdf_rows); the discontinuity design
@@ -49,12 +52,24 @@ from .core import DENOM_EPS, EstimationError, arm_cdf_rows, fork_map, fork_worke
 from .pipeline import FittedPipeline
 from .tail import TailFit, extrapolated_quantiles, qte_point, tail_index_rows
 
-# entries per (draws x b) matrix in one chunk of subsample draws. A
-# chunk keeps several such matrices of 8-byte entries alive at once
-# (each stack of both arms' knots, values or views counts two; ranks
-# and masks are smaller); larger chunks spend less time in per-call
-# overhead but raise the process's peak memory.
+# entries per (draws x b) matrix in one chunk of subsample draws, and
+# the fewest draws a chunk holds. A chunk keeps several such matrices of
+# 8-byte entries alive at once (each stack of both arms' knots, values
+# or views counts two; ranks and masks are smaller); larger chunks spend
+# less time in per-call overhead but raise the process's peak memory.
+# Up to b = CHUNK_ELEMENTS // MIN_CHUNK_DRAWS (819) the entries bound a
+# chunk; above it the draw count does, and the peak grows with b. At
+# b = 3163 (n = 10^5) 5-draw chunks made the in-process draw loop take
+# 0.20 s against 0.14 s with 20 (B = 500, 2 CPUs).
 CHUNK_ELEMENTS = 2**14
+MIN_CHUNK_DRAWS = 20
+
+# rows' worth of work one subsample draw costs besides the b rows it
+# gathers: its index stream (substream and Generator.choice) and its
+# share of its chunk's per-call overhead. In process, on 2 CPUs, a draw
+# of 20-draw chunks cost 65-120 us plus 0.05-0.06 us per gathered row
+# (CHANGES.md)
+DRAW_ROWS = 2000
 
 # Convergence-rate exponent per design: the scaled dispersion
 # (b/n)^exponent (draw - point) mimics the sampling error of the full
@@ -104,6 +119,12 @@ class SubsampleConfig:
             raise ValueError(f"subsample size b={b} not in (1, n) for n={n}")
         return b
 
+    def work(self, n: int) -> int:
+        """The draws' work on an n-row sample in rows, which sets whether
+        they fork (core.fork_workers): b gathered rows plus DRAW_ROWS per
+        draw."""
+        return (self.resolve_b(n) + DRAW_ROWS) * self.draws
+
 
 @dataclass(frozen=True)
 class TailDraws:
@@ -139,11 +160,12 @@ def subsample_tail_pairs(
     # the pipeline, with its ranked sample, reaches the workers by fork;
     # one contiguous block of draw numbers per worker, concatenated in
     # draw order; a draw's row does not depend on the rows fitted with it
-    workers = fork_workers(cfg.draws, b * cfg.draws)
+    work = cfg.work(pipeline.data.n)
+    workers = fork_workers(cfg.draws, work)
     bounds = [cfg.draws * k // workers for k in range(workers + 1)]
     parts = fork_map(_draws, [
         (pipeline, cfg, b, rng_for_draw, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
-    ], b * cfg.draws)
+    ], work)
     *columns, failed_draws = map(np.concatenate, zip(*parts))
     failed = int(failed_draws.sum())
     if failed > cfg.max_failure_share * cfg.draws:
@@ -188,7 +210,7 @@ def _draws(pipeline, cfg, b, rng_for_draw, draws=None):
         return alpha.T, survival.T, thresholds.T, failed
 
     draws = range(cfg.draws) if draws is None else draws
-    step = max(1, CHUNK_ELEMENTS // b)
+    step = max(MIN_CHUNK_DRAWS, CHUNK_ELEMENTS // b)
     with np.errstate(divide="ignore", invalid="ignore"):
         parts = [refit(draws[lo:lo + step]) for lo in range(0, len(draws), step)]
     return tuple(map(np.concatenate, zip(*parts)))

@@ -11,7 +11,7 @@ knows about it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,8 +50,10 @@ class EstimatorSettings:
 @dataclass(frozen=True)
 class FittedPipeline:
     """Fitted CDFs and tails on the analysis scale. data holds the
-    outcomes as fitted (negated when tail_side is "lower"); logit is the
-    full-sample propensity model of the IV design, sample the ranked
+    outcomes as fitted (negated when tail_side is "lower"); in the IV
+    design its covariate matrix has no columns (shape (n, 0)): the
+    propensity is fitted, and nothing after the fit reads x. logit is
+    the full-sample propensity model of the IV design, sample the ranked
     sample that IV and direct CDFs and draws are built from (else None)."""
 
     data: ObservationSet
@@ -75,6 +77,10 @@ def fit_pipeline(
 
     tail_side "lower" negates outcomes first; everything is then fitted
     on the negated scale, and estimate_qte_batch maps the results back.
+
+    The instrument design fits the propensity, weights and ranks the
+    sample, and then keeps data with an (n, 0) covariate matrix: nothing
+    after the fit reads x, and the draws would otherwise hold it alive.
 
     cdf1 and cdf0 keep the raw estimated values; the tail fits run on
     their proper-CDF view (tail_view), so threshold selection stays well
@@ -114,6 +120,9 @@ def fit_pipeline(
             meta = {"gamma": logit.gamma, "logit_iterations": logit.iterations}
             pair = kappa_cdf(data, logit, p_trim=settings.trim)
             cdf1, cdf0, sample = pair.beta1, pair.beta0, pair.sample
+            # the draws read the ranked sample's weights: holding x on
+            # would keep n x k floats alive for nothing
+            data = replace(data, x=np.empty((data.n, 0)))
         else:
             sample = rank_sample(data.y, np.stack([data.d, 1 - data.d]).astype(float))
             cdf1, cdf0 = ranked_cdfs(sample)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf_iv import logistic
+from .cdf_iv import linear_index, logistic
 from .core import EstimationError, ObservationSet, flip_outcomes, fork_map, substream
 from .inference import QteResult, SubsampleConfig, estimate_qte_batch
 from .pipeline import EstimatorSettings, fit_pipeline
@@ -63,7 +63,7 @@ def gen_iv(rng: np.random.Generator, n: int) -> SimDraw:
     fires."""
     types = rng.integers(3, size=n)
     x = rng.standard_normal((n, 10))
-    pz = logistic(x @ IV_GAMMA)
+    pz = logistic(linear_index(x, IV_GAMMA))
     z = (rng.random(n) < pz).astype(np.int8)
     t0 = student_t(rng, n)
     t1 = student_t(rng, n)
@@ -206,7 +206,7 @@ def run_mc(config: McConfig) -> McReport:
     tasks = [(config, n_idx, rep)
              for n_idx in range(len(config.n_list)) for rep in range(config.reps)]
     sub = config.subsample
-    rows = sum(n + (sub.resolve_b(n) * sub.draws if sub else 0) for n in config.n_list)
+    rows = sum(n + (sub.work(n) if sub else 0) for n in config.n_list)
     replications = iter(fork_map(_replicate, tasks, config.reps * rows))
 
     cells = []

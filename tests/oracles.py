@@ -12,7 +12,7 @@ draws) must match them bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -213,7 +213,7 @@ def ecdf(y: np.ndarray) -> StepCdf:
     return StepCdf(ys[at_knot], counts[at_knot] / ys.size)
 
 
-def subset_cdfs(pipeline, idx: np.ndarray) -> tuple[StepCdf, StepCdf]:
+def subset_cdfs(pipeline, idx: np.ndarray, x: np.ndarray | None = None) -> tuple[StepCdf, StepCdf]:
     """Treated and control CDFs refitted on the rows idx of the fitted
     data, for the IV and direct designs.
 
@@ -222,6 +222,8 @@ def subset_cdfs(pipeline, idx: np.ndarray) -> tuple[StepCdf, StepCdf]:
     converges at the root-n rate, so re-estimating it per draw would only
     add noise that the rate correction then misattributes to the tail
     statistic. The CDFs then follow kappa_cdf's recipe on the subset.
+    A fitted pipeline keeps no covariates, so an IV caller passes x, the
+    covariate matrix of the data the pipeline was fitted on.
     """
     data = pipeline.data
     if data.design == "direct":
@@ -229,6 +231,7 @@ def subset_cdfs(pipeline, idx: np.ndarray) -> tuple[StepCdf, StepCdf]:
         return ecdf(sub.y[sub.d == 1]), ecdf(sub.y[sub.d == 0])
     if data.design != "iv":
         raise ValueError(f"the {data.design!r} design re-selects its thresholds per draw")
+    data = replace(data, x=x)
     w1, w0, wd = (w[idx] for w in kappa_weights(data, pipeline.logit, pipeline.settings.trim))
     denom = float(wd.mean())
     if abs(denom) < DENOM_EPS:
@@ -241,8 +244,9 @@ def subset_cdfs(pipeline, idx: np.ndarray) -> tuple[StepCdf, StepCdf]:
     return StepCdf(ys[at_knot], vals1), StepCdf(ys[at_knot], vals0)
 
 
-def frozen_draws(pipeline, cfg, b, rng_for_draw):
-    """Draws at the frozen full-sample thresholds, refitted one by one."""
+def frozen_draws(pipeline, cfg, b, rng_for_draw, x=None):
+    """Draws at the frozen full-sample thresholds, refitted one by one;
+    x as in subset_cdfs."""
     n = pipeline.data.n
     alphas: list[tuple[float, float]] = []
     survivals: list[tuple[float, float]] = []
@@ -250,7 +254,7 @@ def frozen_draws(pipeline, cfg, b, rng_for_draw):
     for t in range(cfg.draws):
         idx = np.sort(rng_for_draw(t).choice(n, size=b, replace=False))
         try:
-            cdf1, cdf0 = subset_cdfs(pipeline, idx)
+            cdf1, cdf0 = subset_cdfs(pipeline, idx, x)
             a1, s1 = _tail_at_frozen_threshold(cdf1, pipeline.fit1)
             a0, s0 = _tail_at_frozen_threshold(cdf0, pipeline.fit0)
         except EstimationError:

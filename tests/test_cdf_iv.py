@@ -1,6 +1,10 @@
 """Kappa-weighted complier CDFs and the logit propensity fit."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +136,26 @@ def test_fit_logit_rejects_constant_z():
 
 
 # ------------------------------------------------------------ kappa cdf
+
+def test_fit_logit_is_the_same_at_any_blas_thread_count():
+    # the benchmark's seed-1 sample of 10^5 rows: BLAS products sum in an
+    # order that follows their thread count, which moved gamma's last
+    # bits between one and two OpenBLAS threads
+    code = ("import hashlib, sys, numpy as np; from xqte.cdf_iv import fit_logit; "
+            "from xqte.simulate import gen_iv; "
+            "data = gen_iv(np.random.default_rng(1), 100_000).data; "
+            "model = fit_logit(data.x, data.z); "
+            "sys.stdout.write(model.gamma.tobytes().hex() + ' ' + "
+            "hashlib.sha256(model.propensity(data.x).tobytes()).hexdigest())")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    fits = [
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                       env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)).stdout
+        for threads in ("1", "2")
+    ]
+    assert fits[0] and fits[0] == fits[1]
+
 
 def test_kappa_six_point_hand_example():
     # three treated instrument-on units at y = 1, 2, 3 and three untreated

@@ -212,9 +212,10 @@ def test_cli_import_leaves_out_numerical_integration():
 def test_cli_start_leaves_out_multiprocessing(tmp_path):
     # only work worth a pool starts worker processes; importing the CLI,
     # asking a command for its help or estimating on a 2 MB file of 10^4
-    # rows at the default b and B (631 x 500 = 315,500 subset rows, under
-    # core.FORK_MIN_ROWS) must not pay for the import, and the CSV parse
-    # never forks, however long the file and however many CPUs are free
+    # rows at the default b and B ((631 + 2000) x 500 = 1,315,500 rows of
+    # work, under core.FORK_MIN_ROWS) must not pay for the import, and the
+    # CSV parse never forks, however long the file and however many CPUs
+    # are free
     write_gen_csv(tmp_path / "iv.csv", "iv", 10_000, 0)
     write_gen_csv(tmp_path / "rdd.csv", "rdd", 10_000, 1)
     large = tmp_path / "iv4e4.csv"
@@ -353,6 +354,22 @@ class TestExitCodes:
         argv = ["estimate-iv", "--input", str(src), "--q", "0.02", "--out", str(tmp_path / "o")]
         assert main(argv) == 4
         assert "estimation error (DegenerateDenominator)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [0.0, 1.0])
+    def test_constant_treatment_is_estimation_error(self, tmp_path, capsys, d):
+        # 500 rows with one treatment value: no unit is a complier, though
+        # the estimated complier mass is noise of order n^-1/2, not 0
+        src = tmp_path / "iv.csv"
+        write_gen_csv(src, "iv", 500, 0)
+        header = src.read_text().partition("\n")[0]
+        table = np.loadtxt(src, delimiter=",", skiprows=1)
+        table[:, header.split(",").index("d")] = d
+        np.savetxt(src, table, fmt="%.17g", delimiter=",", header=header, comments="")
+        argv = ["estimate-iv", "--input", str(src), "--q", "0.02", "--out", str(tmp_path / "o")]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "estimation error (DegenerateDenominator)" in err
+        assert f"d is {d:g} for every unit; there is no first stage" in err
 
     def test_interior_target_is_estimation_error(self, tmp_path, capsys):
         src = tmp_path / "toy.csv"

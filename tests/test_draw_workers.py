@@ -139,10 +139,12 @@ def test_draws_are_the_same_at_any_worker_count(case, log):
 @pytest.mark.parametrize("case", [iv_case, direct_case, rdd_case], ids=["iv", "direct", "rdd"])
 def test_small_draw_sets_stay_in_process(case, log):
     # every design's draw set forks from the same core.FORK_MIN_ROWS
-    # subset rows (b x draws) on
+    # rows of work on (SubsampleConfig.work: b gathered rows plus
+    # inference.DRAW_ROWS per draw)
     pipe, cfg = case()
-    rows = cfg.resolve_b(pipe.data.n) * cfg.draws
-    for min_rows, blocks in ((rows + 1, 1), (rows, 2), (core.FORK_MIN_ROWS, 1)):
+    work = cfg.work(pipe.data.n)
+    assert work == (cfg.resolve_b(pipe.data.n) + inference.DRAW_ROWS) * cfg.draws
+    for min_rows, blocks in ((work + 1, 1), (work, 2), (core.FORK_MIN_ROWS, 1)):
         with on_cpus(2, log, min_rows):
             subsample_tail_pairs(pipe, cfg, lambda t: substream(5, t))
         calls = engine_calls(log)
@@ -226,3 +228,68 @@ def test_draws_inside_monte_carlo_workers_stay_in_the_replication(log):
     assert [call[2:] for call in calls] == [(0, 100)] * 2
     assert_ran_on_workers(calls, 2)
     assert not multiprocessing.active_children()
+
+
+def test_fork_gate_on_two_cpus():
+    # the estimate commands' draws (default b, B = 500) run in process at
+    # n = 10^4 (1,315,500 rows of work) and 10^5 (2,581,500), where forking
+    # cost more CPU than the draws and saved no wall time, and fork at
+    # 3 x 10^5 (b = 6824: 4,412,000); the benchmark's simulations (n =
+    # 10^4, B = 500, 6 and 8 replications) fork. Nothing runs: run_mc's
+    # pool is replaced by the gate's decision and replications that fail
+    sub = SubsampleConfig()
+    decided = []
+
+    def gate(fn, tasks, rows):
+        decided.append(core.fork_workers(len(tasks), rows))
+        return [None] * len(tasks)
+
+    with mock.patch.object(core, "_usable_cpus", return_value=2):
+        assert [sub.resolve_b(n) for n in (10_000, 100_000, 300_000)] == [631, 3163, 6824]
+        assert [core.fork_workers(sub.draws, sub.work(n)) for n in (10_000, 100_000, 300_000)] \
+            == [1, 1, 2]
+        with mock.patch("xqte.simulate.fork_map", gate):
+            run_mc(McConfig(design="iv", n_list=(10_000,), q_list=(0.02, 0.025), reps=6, seed=1))
+            run_mc(McConfig(design="rdd", n_list=(10_000,), q_list=(0.025,), reps=8, seed=1))
+    assert decided == [2, 2]
+
+
+def test_chunks_hold_at_least_min_chunk_draws():
+    # CHUNK_ELEMENTS // b draws per chunk while that is at least 20: 25 at
+    # b = 631 (n = 10^4), and 20 from b = 820 on, as at b = 3163 (n = 10^5)
+    rng = np.random.default_rng(4)
+    for n, b, sizes in ((1000, 631, [25] * 4), (4000, 3163, [20] * 5)):
+        d = (rng.random(n) < 0.5).astype(int)
+        pipe = fit_pipeline(ObservationSet(design="direct", y=rng.standard_t(3.0, n) + d, d=d),
+                            EstimatorSettings(ymin_level=0.9))
+        seen = []
+
+        def fit_rows(knots, *args, fit_rows=inference._fit_rows):
+            seen.append(knots.shape[1])
+            return fit_rows(knots, *args)
+
+        cfg = SubsampleConfig(b=b, draws=100)
+        with mock.patch.object(inference, "_fit_rows", fit_rows):
+            inference._draws(pipe, cfg, b, lambda t: substream(8, t))
+        assert seen == sizes
+
+
+def test_fitted_instrument_pipeline_keeps_no_covariates():
+    # the draws read the ranked sample's weights, never x: the fitted
+    # pipeline holds no array of n x k (here 10) entries
+    data = gen_iv(substream(9, 3), 500).data
+    pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9), "lower")
+    assert pipe.data.x.shape == (500, 0)
+    arrays, pending = [], [pipe]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, (tuple, list)):
+            pending += item
+        elif isinstance(item, dict):
+            pending += item.values()
+        elif hasattr(item, "__dataclass_fields__"):
+            pending += [getattr(item, name) for name in item.__dataclass_fields__]
+    assert len(arrays) > 10
+    assert max(a.size for a in arrays) == 2 * data.n  # both arms' weights

@@ -14,6 +14,7 @@ tail_view_rows and the oracle's tail_view are swapped for the identity.
 
 from collections import Counter
 from contextlib import ExitStack
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -36,12 +37,13 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
-def check_draws(pipe, cfg, seed):
+def check_draws(pipe, cfg, seed, x=None):
     """Assert the library reproduces the oracle; return the oracle's
-    failed draw count."""
+    failed draw count. x is the covariate matrix an IV pipe was fitted
+    on, which the oracle's kappa weights read (the pipe keeps none)."""
     stream = lambda t: substream(seed, t)  # noqa: E731
     b = cfg.validate(pipe.data.n)
-    alphas, survivals, thresholds, failed = oracles.frozen_draws(pipe, cfg, b, stream)
+    alphas, survivals, thresholds, failed = oracles.frozen_draws(pipe, cfg, b, stream, x)
     if failed > cfg.max_failure_share * cfg.draws:
         with pytest.raises(UnstableSubsampling, match=f"^{failed} of {cfg.draws} "):
             subsample_tail_pairs(pipe, cfg, stream)
@@ -63,10 +65,11 @@ def raw_rows(values, at_knot=None):
 
 
 def patched(chunk, raw):
-    """CHUNK_ELEMENTS set to chunk; with raw, the subset CDFs are fitted
-    as they come instead of through their views."""
+    """CHUNK_ELEMENTS set to chunk and MIN_CHUNK_DRAWS to 1, so that chunk
+    alone sizes the chunks; with raw, the subset CDFs are fitted as they
+    come instead of through their views."""
     stack = ExitStack()
-    stack.enter_context(mock.patch.object(inference, "CHUNK_ELEMENTS", chunk))
+    stack.enter_context(mock.patch.multiple(inference, CHUNK_ELEMENTS=chunk, MIN_CHUNK_DRAWS=1))
     if raw:
         stack.enter_context(mock.patch.object(inference, "tail_view_rows", raw_rows))
         stack.enter_context(mock.patch.object(oracles, "tail_view", lambda cdf: cdf))
@@ -116,19 +119,19 @@ def test_row_path_matches_per_draw_oracle(data, b_share, chunk, level, lower, ra
     b = max(2, min(data.n - 1, round(b_share * data.n)))
     cfg = SubsampleConfig(b=b, draws=100, max_failure_share=0.99)
     with patched(chunk, raw):
-        check_draws(pipe, cfg, seed)
+        check_draws(pipe, cfg, seed, data.x)
 
 
-def failures_by_class(pipe, cfg, seed):
+def failures_by_class(pipe, cfg, seed, x=None):
     """The oracle's failed draws by exception class, and its draws with a
-    negative index under "negative"."""
+    negative index under "negative"; x as in check_draws."""
     b = cfg.validate(pipe.data.n)
     failures = Counter()
     for t in range(cfg.draws):
         idx = np.sort(substream(seed, t).choice(pipe.data.n, size=b, replace=False))
         try:
             tails = [oracles._tail_at_frozen_threshold(cdf, fit)
-                     for cdf, fit in zip(oracles.subset_cdfs(pipe, idx), (pipe.fit1, pipe.fit0))]
+                     for cdf, fit in zip(oracles.subset_cdfs(pipe, idx, x), (pipe.fit1, pipe.fit0))]
         except EstimationError as err:
             failures[type(err).__name__] += 1
             continue
@@ -144,13 +147,14 @@ def test_iv_draws_that_fail(raw, failure, per_chunk):
     # negative index instead. per_chunk 0 fits each draw's tails on
     # their own, 1 a few draws at a time (CHUNK_ELEMENTS // 4 = 12 kept
     # entries), None in batches of the default size
-    pipe = fit_pipeline(gen_iv(substream(9, 0), 400).data, EstimatorSettings(ymin_level=0.8))
+    data = gen_iv(substream(9, 0), 400).data
+    pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.8))
     cfg = SubsampleConfig(b=12, draws=150, max_failure_share=0.9)
     chunk = inference.CHUNK_ELEMENTS if per_chunk is None else 4 * 12 * per_chunk
     with patched(chunk, raw):
-        failures = failures_by_class(pipe, cfg, 10)
+        failures = failures_by_class(pipe, cfg, 10, data.x)
         assert failures[failure] > 5
-        assert check_draws(pipe, cfg, 10) == sum(failures.values())
+        assert check_draws(pipe, cfg, 10, data.x) == sum(failures.values())
 
 
 def test_direct_draws_that_miss_an_arm_fail():
@@ -229,7 +233,7 @@ def test_chunk_boundaries_inside_a_workers_block(design, workers):
             mock.patch.object(core, "_usable_cpus", return_value=workers), \
             mock.patch.object(core, "FORK_MIN_ROWS", 0):
         assert core.fork_workers(cfg.draws, 40 * cfg.draws) == workers
-        check_draws(pipe, cfg, 13)
+        check_draws(pipe, cfg, 13, data.x)
 
 
 def strong_instrument_set(seed, n, coef):
@@ -251,13 +255,14 @@ def test_trimmed_propensities_in_the_fit_and_the_draws(side):
     pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9), side)
     p_hat, trim = pipe.logit.propensity(data.x), pipe.settings.trim
     assert ((p_hat < trim) | (p_hat > 1.0 - trim)).sum() > 50
-    untrimmed = kappa_cdf(pipe.data, pipe.logit, p_trim=0.0)
+    untrimmed = kappa_cdf(replace(pipe.data, x=data.x), pipe.logit, p_trim=0.0)
     assert bits(untrimmed.beta1.values) != bits(pipe.cdf1.values)
     assert bits(untrimmed.beta0.values) != bits(pipe.cdf0.values)
-    for cdf, ref in zip((pipe.cdf1, pipe.cdf0), oracles.subset_cdfs(pipe, np.arange(data.n))):
+    refs = oracles.subset_cdfs(pipe, np.arange(data.n), data.x)
+    for cdf, ref in zip((pipe.cdf1, pipe.cdf0), refs):
         assert bits(cdf.knots) == bits(ref.knots)
         assert bits(cdf.values) == bits(ref.values)
-    check_draws(pipe, SubsampleConfig(b=150, draws=100, max_failure_share=0.5), 22)
+    check_draws(pipe, SubsampleConfig(b=150, draws=100, max_failure_share=0.5), 22, data.x)
 
 
 def stable_order_cdf(y, w, total):
@@ -283,8 +288,9 @@ def test_tied_outcomes_are_summed_in_input_row_order(side):
     data = ObservationSet(design="iv", y=np.round(data.y, 1), d=data.d, z=data.z, x=data.x)
     pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9), side)
     y, n = pipe.data.y, pipe.data.n
-    pair = kappa_cdf(pipe.data, pipe.logit, pipe.settings.trim)
-    w1, w0, wd = kappa_weights(pipe.data, pipe.logit, pipe.settings.trim)
+    fitted_data = replace(pipe.data, x=data.x)
+    pair = kappa_cdf(fitted_data, pipe.logit, pipe.settings.trim)
+    w1, w0, wd = kappa_weights(fitted_data, pipe.logit, pipe.settings.trim)
     total = n * float(np.mean(wd))
     reordered = 0
     for cdf, fitted, w in ((pair.beta1, pipe.cdf1, w1), (pair.beta0, pipe.cdf0, w0)):
@@ -301,7 +307,7 @@ def test_tied_outcomes_are_summed_in_input_row_order(side):
     assert bits(alphas) == bits(np.tile([pipe.fit1.alpha_hat, pipe.fit0.alpha_hat], (100, 1)))
     assert bits(survivals) == bits(np.tile([pipe.fit1.s_min, pipe.fit0.s_min], (100, 1)))
     ref_alphas, ref_survivals, _, ref_failed = oracles.frozen_draws(
-        pipe, cfg, n, lambda t: substream(24, t))
+        pipe, cfg, n, lambda t: substream(24, t), data.x)
     assert ref_failed == 0
     assert bits(alphas) == bits(ref_alphas) and bits(survivals) == bits(ref_survivals)
 

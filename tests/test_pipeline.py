@@ -171,7 +171,7 @@ class TestIvPipeline:
     def test_refit_full_index_reproduces(self):
         data = self.make_data(n=1500, key=14)
         pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
-        c1, c0 = subset_cdfs(pipe, np.arange(data.n))
+        c1, c0 = subset_cdfs(pipe, np.arange(data.n), data.x)
         assert np.array_equal(c1.knots, pipe.cdf1.knots)
         assert np.array_equal(c1.values, pipe.cdf1.values)
         assert np.array_equal(c0.values, pipe.cdf0.values)

@@ -168,7 +168,7 @@ def test_engine_matches_per_draw_oracle(data, b_share, draws, chunk, budget, low
         assume(False)
     b = max(2, min(data.n - 1, round(b_share * data.n)))
     cfg = SubsampleConfig(b=b, draws=draws, max_failure_share=budget)
-    with mock.patch.object(inference, "CHUNK_ELEMENTS", chunk):
+    with mock.patch.multiple(inference, CHUNK_ELEMENTS=chunk, MIN_CHUNK_DRAWS=1):
         check_engine(pipe, cfg, seed)
 
 
@@ -188,7 +188,7 @@ def test_chunked_draws_match_oracle_on_the_simulation_design():
 @pytest.mark.parametrize("per_chunk", [1, 33])
 def test_one_draw_chunks(per_chunk):
     # one draw in every chunk, or 33-draw chunks and a last one of one draw
-    with mock.patch.object(inference, "CHUNK_ELEMENTS", per_chunk * 272):
+    with mock.patch.multiple(inference, CHUNK_ELEMENTS=per_chunk * 272, MIN_CHUNK_DRAWS=1):
         assert not check_engine(simulation_pipe(), SubsampleConfig(draws=100), 5)
 
 
@@ -221,7 +221,7 @@ def test_one_failed_arm_fails_the_whole_draw(taken_value):
     b = cfg.validate(pipe.data.n)
     stream = lambda t: substream(7, t)  # noqa: E731
     assert not check_engine(pipe, cfg, 7)
-    with mock.patch.object(inference, "CHUNK_ELEMENTS", 30 * b):
+    with mock.patch.multiple(inference, CHUNK_ELEMENTS=30 * b, MIN_CHUNK_DRAWS=1):
         alphas, _, thresholds, failed = inference._draws(pipe, cfg, b, stream)
         with mock.patch.object(inference, "side_masses", force_one_arm_out(taken_value)):
             tails = subsample_tail_pairs(pipe, cfg, stream)
@@ -266,7 +266,7 @@ def test_first_stage_check_implies_no_arm_flags(data, b_share, chunk, lower, see
     names = ("rot_bandwidths", "side_masses", "arm_threshold_rows", "tail_view_rows")
     seen = {name: [] for name in names}
     spies = {name: spy(seen, name) for name in names}
-    with mock.patch.multiple(inference, CHUNK_ELEMENTS=chunk, **spies):
+    with mock.patch.multiple(inference, CHUNK_ELEMENTS=chunk, MIN_CHUNK_DRAWS=1, **spies):
         *_, failed = inference._draws(pipe, cfg, b, lambda t: substream(seed, t))
     h = np.concatenate(seen["rot_bandwidths"])
     s_above, s_below, jump = (np.concatenate(parts) for parts in zip(*seen["side_masses"]))
@@ -288,7 +288,7 @@ def test_all_flat_chunks():
     top_coded = rdd_set(np.minimum(y, np.median(y)), d, r)
     pipe = fit_pipeline(top_coded, EstimatorSettings(ymin_level=0.9))
     cfg = SubsampleConfig(draws=120)
-    with mock.patch.object(inference, "CHUNK_ELEMENTS", 7 * cfg.resolve_b(n)):
+    with mock.patch.multiple(inference, CHUNK_ELEMENTS=7 * cfg.resolve_b(n), MIN_CHUNK_DRAWS=1):
         assert not check_engine(pipe, cfg, 6)
         tails = subsample_tail_pairs(pipe, cfg, lambda t: substream(6, t))
     assert tails.alphas.shape == (120, 2) and np.isinf(tails.alphas).all()
@@ -299,7 +299,7 @@ def failing_draws(r, d, b, budget):
     y = rng.standard_t(3.0, r.size) + d
     pipe = fit_pipeline(rdd_set(y, d, r), EstimatorSettings(ymin_level=0.9))
     cfg = SubsampleConfig(b=b, draws=120, max_failure_share=budget)
-    with mock.patch.object(inference, "CHUNK_ELEMENTS", 50):
+    with mock.patch.multiple(inference, CHUNK_ELEMENTS=50, MIN_CHUNK_DRAWS=1):
         return check_engine(pipe, cfg, 6)
 
 
