@@ -42,7 +42,13 @@ class LogitModel:
     iterations: int
 
     def propensity(self, x: np.ndarray) -> np.ndarray:
-        return logistic(linear_index(np.asarray(x, dtype=float), self.gamma))
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.gamma.size:
+            hint = ("; a fitted pipeline keeps no covariates (its data.x has no "
+                    "columns): pass the data it was fitted from" if x.shape[-1:] == (0,) else "")
+            raise ValueError(f"x of shape {x.shape} does not match the logit's "
+                             f"{self.gamma.size} coefficients{hint}")
+        return logistic(linear_index(x, self.gamma))
 
 
 def linear_index(x: np.ndarray, gamma: np.ndarray) -> np.ndarray:

@@ -323,13 +323,17 @@ def _wrapped_from_outside() -> bool:
     return any(hasattr(fn, "__wrapped__") for fn in functions)
 
 
-# work, in rows, from which a run forks: the rows it touches plus a
-# fixed cost per subsample draw (inference.SubsampleConfig.work). Below
-# it, in end-to-end runs on 2 CPUs (CHANGES.md), forking saved no
-# resolvable wall time and cost more CPU: the instrument command ran
-# faster in process in most pairs on 10^4, 10^5 and 2 x 10^5 rows
-# (1,315,500 to 3,569,000 rows of work), while on 3 x 10^5 rows
-# (4,412,000) its forked draws took about half the wall time
+# work, in rows, from which a run forks: an estimate's draws count the
+# rows they gather plus a fixed cost per draw (inference.SubsampleConfig
+# .work), a simulation its replications' rows touched, weighted
+# (simulate.REPLICATION_ROW_WORK). Below it, in end-to-end runs on 2
+# CPUs (CHANGES.md), forking saved no resolvable wall time and cost more
+# CPU: the instrument command ran faster in process in 10, 7 and 7 of 10
+# pairs on 10^4, 10^5 and 2 x 10^5 rows (1,315,500 to 3,569,000 rows of
+# work). Forking on 3 x 10^5 rows (4,412,000) was chosen from the draws
+# alone (0.25 s forked against 0.47 s in process, one warm process), not
+# from a resolved end-to-end gain: that command took 3.446 s in process
+# against 3.590 s forked (medians of 10 pairs, in process faster in 4)
 FORK_MIN_ROWS = 2**22
 
 

@@ -22,10 +22,10 @@ worker count.
 
 One engine (_draws) refits a chunk of draws at a time (as many as fit
 CHUNK_ELEMENTS entries per (draws x b) matrix, and at least
-MIN_CHUNK_DRAWS) from the full sample ranked by outcome once, stably: a
-chunk gathers its draws as a (draws x b) matrix in index order, for the
-sums whose order matters, then sorts each draw's ranks (tied outcomes
-stay in input row order).
+MIN_CHUNK_DRAWS while they fit MAX_CHUNK_ENTRIES) from the full sample
+ranked by outcome once, stably: a chunk gathers its draws as a
+(draws x b) matrix in index order, for the sums whose order matters,
+then sorts each draw's ranks (tied outcomes stay in input row order).
 A row stage per design turns them into both arms' CDF rows, stacked:
 the frozen-threshold designs read the fit's ranked sample through its
 own CDF routine (core.arm_cdf_rows); the discontinuity design
@@ -52,17 +52,22 @@ from .core import DENOM_EPS, EstimationError, arm_cdf_rows, fork_map, fork_worke
 from .pipeline import FittedPipeline
 from .tail import TailFit, extrapolated_quantiles, qte_point, tail_index_rows
 
-# entries per (draws x b) matrix in one chunk of subsample draws, and
-# the fewest draws a chunk holds. A chunk keeps several such matrices of
-# 8-byte entries alive at once (each stack of both arms' knots, values
-# or views counts two; ranks and masks are smaller); larger chunks spend
-# less time in per-call overhead but raise the process's peak memory.
-# Up to b = CHUNK_ELEMENTS // MIN_CHUNK_DRAWS (819) the entries bound a
-# chunk; above it the draw count does, and the peak grows with b. At
-# b = 3163 (n = 10^5) 5-draw chunks made the in-process draw loop take
-# 0.20 s against 0.14 s with 20 (B = 500, 2 CPUs).
+# entries per (draws x b) matrix in one chunk of subsample draws, the
+# fewest draws a chunk holds, and the most entries those draws may take.
+# A chunk keeps about seven such matrices of 8-byte entries alive at
+# once (each stack of both arms' knots, values or views counts two;
+# ranks and masks are smaller); larger chunks spend less time in
+# per-call overhead but raise the process's peak memory. Up to
+# b = CHUNK_ELEMENTS // MIN_CHUNK_DRAWS (819) CHUNK_ELEMENTS bounds a
+# chunk; above it a chunk holds MIN_CHUNK_DRAWS draws while they fit
+# MAX_CHUNK_ENTRIES (up to b = 6553), and as many as fit it above that,
+# at least one: the peak stays within about 7 MB until one draw's b
+# alone passes MAX_CHUNK_ENTRIES. At b = 3163 (n = 10^5) 5-draw chunks
+# made the in-process draw loop take 0.20 s against 0.14 s with 20
+# (B = 500, 2 CPUs).
 CHUNK_ELEMENTS = 2**14
 MIN_CHUNK_DRAWS = 20
+MAX_CHUNK_ENTRIES = 2**17
 
 # rows' worth of work one subsample draw costs besides the b rows it
 # gathers: its index stream (substream and Generator.choice) and its
@@ -210,7 +215,7 @@ def _draws(pipeline, cfg, b, rng_for_draw, draws=None):
         return alpha.T, survival.T, thresholds.T, failed
 
     draws = range(cfg.draws) if draws is None else draws
-    step = max(MIN_CHUNK_DRAWS, CHUNK_ELEMENTS // b)
+    step = max(1, CHUNK_ELEMENTS // b, min(MIN_CHUNK_DRAWS, MAX_CHUNK_ENTRIES // b))
     with np.errstate(divide="ignore", invalid="ignore"):
         parts = [refit(draws[lo:lo + step]) for lo in range(0, len(draws), step)]
     return tuple(map(np.concatenate, zip(*parts)))

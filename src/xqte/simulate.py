@@ -39,6 +39,17 @@ TRUE_QTE_IV = -1.0
 TRUE_QTE_RDD = -1.1
 TRUE_QTE_RDD_ALT = -1.0
 
+# rows of work (core.FORK_MIN_ROWS) per row a replication touches (n,
+# and b per subsample draw), so replications fork from 2^19 rows touched.
+# Set from end-to-end pairs of `xqte simulate` at n = 10^4 on 2 CPUs
+# (CHANGES.md), not from the draw loop's per-draw cost: two replications
+# of the discontinuity design with B = 500 (651,000 rows touched) ran
+# faster forked in 9 of 10 pairs (the instrument design's did not
+# resolve), with B = 250 (335,500) faster in process in 9 of 10; B = 350,
+# and n = 5000 with B = 500, did not resolve and stay in process, where
+# they cost less CPU
+REPLICATION_ROW_WORK = 8
+
 
 def student_t(rng: np.random.Generator, n: int, df: float = 10.0) -> np.ndarray:
     """Student t draws via the normal over root chi-square ratio."""
@@ -206,8 +217,8 @@ def run_mc(config: McConfig) -> McReport:
     tasks = [(config, n_idx, rep)
              for n_idx in range(len(config.n_list)) for rep in range(config.reps)]
     sub = config.subsample
-    rows = sum(n + (sub.work(n) if sub else 0) for n in config.n_list)
-    replications = iter(fork_map(_replicate, tasks, config.reps * rows))
+    rows = sum(n + (sub.resolve_b(n) * sub.draws if sub else 0) for n in config.n_list)
+    replications = iter(fork_map(_replicate, tasks, config.reps * rows * REPLICATION_ROW_WORK))
 
     cells = []
     for n in config.n_list:

@@ -20,6 +20,8 @@ from xqte.cdf_iv import (
     logistic,
 )
 from xqte.core import DegenerateDenominator, ObservationSet, evaluate, substream
+from xqte.pipeline import EstimatorSettings, fit_pipeline
+from xqte.simulate import gen_iv
 
 
 # ------------------------------------------------------------- oracles
@@ -135,8 +137,6 @@ def test_fit_logit_rejects_constant_z():
         fit_logit(np.ones((4, 1)), np.zeros(4))
 
 
-# ------------------------------------------------------------ kappa cdf
-
 def test_fit_logit_is_the_same_at_any_blas_thread_count():
     # the benchmark's seed-1 sample of 10^5 rows: BLAS products sum in an
     # order that follows their thread count, which moved gamma's last
@@ -156,6 +156,19 @@ def test_fit_logit_is_the_same_at_any_blas_thread_count():
     ]
     assert fits[0] and fits[0] == fits[1]
 
+
+def test_propensity_rejects_covariates_of_another_width():
+    model = LogitModel(np.full(3, 0.1), 0)
+    with pytest.raises(ValueError, match=r"shape \(4, 2\) does not match the logit's 3"):
+        model.propensity(np.ones((4, 2)))
+    # a fitted instrument pipeline keeps its data without covariates
+    data = gen_iv(substream(2, 7), 400).data
+    pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
+    with pytest.raises(ValueError, match="a fitted pipeline keeps no covariates"):
+        kappa_cdf(pipe.data, pipe.logit)
+
+
+# ------------------------------------------------------------ kappa cdf
 
 def test_kappa_six_point_hand_example():
     # three treated instrument-on units at y = 1, 2, 3 and three untreated

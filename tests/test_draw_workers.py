@@ -234,9 +234,13 @@ def test_fork_gate_on_two_cpus():
     # the estimate commands' draws (default b, B = 500) run in process at
     # n = 10^4 (1,315,500 rows of work) and 10^5 (2,581,500), where forking
     # cost more CPU than the draws and saved no wall time, and fork at
-    # 3 x 10^5 (b = 6824: 4,412,000); the benchmark's simulations (n =
-    # 10^4, B = 500, 6 and 8 replications) fork. Nothing runs: run_mc's
-    # pool is replaced by the gate's decision and replications that fail
+    # 3 x 10^5 (b = 6824: 4,412,000). Simulations at n = 10^4 weigh each
+    # row a replication touches as simulate.REPLICATION_ROW_WORK rows of
+    # work: two replications fork with B = 500 (651,000 rows touched,
+    # 5,208,000 of work) and stay in process with B = 250 (335,500 and
+    # 2,684,000), as measured end to end; the benchmark's simulations (6
+    # and 8 replications, B = 500) fork. Nothing runs: run_mc's pool is
+    # replaced by the gate's decision and replications that fail
     sub = SubsampleConfig()
     decided = []
 
@@ -249,16 +253,23 @@ def test_fork_gate_on_two_cpus():
         assert [core.fork_workers(sub.draws, sub.work(n)) for n in (10_000, 100_000, 300_000)] \
             == [1, 1, 2]
         with mock.patch("xqte.simulate.fork_map", gate):
-            run_mc(McConfig(design="iv", n_list=(10_000,), q_list=(0.02, 0.025), reps=6, seed=1))
-            run_mc(McConfig(design="rdd", n_list=(10_000,), q_list=(0.025,), reps=8, seed=1))
-    assert decided == [2, 2]
+            for design, reps, draws in (("iv", 2, 500), ("rdd", 2, 500), ("iv", 2, 250),
+                                        ("rdd", 2, 250), ("iv", 6, 500), ("rdd", 8, 500)):
+                run_mc(McConfig(design=design, n_list=(10_000,), q_list=(0.025,), reps=reps,
+                                seed=1, subsample=SubsampleConfig(draws=draws)))
+    assert decided == [2, 2, 1, 1, 2, 2]
 
 
 def test_chunks_hold_at_least_min_chunk_draws():
     # CHUNK_ELEMENTS // b draws per chunk while that is at least 20: 25 at
-    # b = 631 (n = 10^4), and 20 from b = 820 on, as at b = 3163 (n = 10^5)
+    # b = 631 (n = 10^4), and 20 from b = 820 on, as at b = 3163 (n = 10^5),
+    # while 20 draws fit MAX_CHUNK_ENTRIES; above that as many as fit it,
+    # never fewer than CHUNK_ELEMENTS // b (the ceiling is lowered here
+    # to keep b small)
     rng = np.random.default_rng(4)
-    for n, b, sizes in ((1000, 631, [25] * 4), (4000, 3163, [20] * 5)):
+    for n, b, ceiling, sizes in ((1000, 631, None, [25] * 4), (4000, 3163, None, [20] * 5),
+                                 (4000, 3163, 8 * 3163, [8] * 12 + [4]),
+                                 (4000, 3163, 3000, [5] * 20)):
         d = (rng.random(n) < 0.5).astype(int)
         pipe = fit_pipeline(ObservationSet(design="direct", y=rng.standard_t(3.0, n) + d, d=d),
                             EstimatorSettings(ymin_level=0.9))
@@ -269,9 +280,11 @@ def test_chunks_hold_at_least_min_chunk_draws():
             return fit_rows(knots, *args)
 
         cfg = SubsampleConfig(b=b, draws=100)
-        with mock.patch.object(inference, "_fit_rows", fit_rows):
+        limit = inference.MAX_CHUNK_ENTRIES if ceiling is None else ceiling
+        with mock.patch.multiple(inference, _fit_rows=fit_rows, MAX_CHUNK_ENTRIES=limit):
             inference._draws(pipe, cfg, b, lambda t: substream(8, t))
         assert seen == sizes
+    assert inference.MAX_CHUNK_ENTRIES // 6824 == 19  # n = 3 x 10^5
 
 
 def test_fitted_instrument_pipeline_keeps_no_covariates():

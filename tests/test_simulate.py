@@ -267,10 +267,10 @@ class TestWorkers:
             assert sum(c.n_used for c in two.cells) > 0
 
     def test_small_runs_stay_in_process(self):
-        # 3 x (600 + (89 + 2000) x 100) + 3 x (1000 + (126 + 2000) x 100)
-        # = 1,269,300 rows of work (b gathered rows plus inference.DRAW_ROWS
-        # per draw): below the gate the replications run here; a pool made
-        # this run about 1.7 times as slow
+        # 3 x (600 + 89 x 100) + 3 x (1000 + 126 x 100) = 69,300 rows
+        # touched, 554,400 rows of work (simulate.REPLICATION_ROW_WORK):
+        # below the gate the replications run here; a pool made this run
+        # about 1.7 times as slow
         cfg = McConfig(design="rdd", n_list=(600, 1000), q_list=(0.02, 0.025), reps=3, seed=4,
                        subsample=SubsampleConfig(draws=100))
         pids = []
@@ -280,7 +280,7 @@ class TestWorkers:
             return gen_rdd(*args, **kwargs)
 
         reports = []
-        for min_rows, here in ((core.FORK_MIN_ROWS, True), (1_269_301, True), (1_269_300, False)):
+        for min_rows, here in ((core.FORK_MIN_ROWS, True), (554_401, True), (554_400, False)):
             with mock.patch("xqte.simulate.gen_rdd", spied):
                 reports.append(format_report(run_on(cfg, 2, min_rows)))
             # a forked worker's calls are lost with its memory
