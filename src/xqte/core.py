@@ -313,8 +313,8 @@ def _usable_cpus() -> int:
 def _wrapped_from_outside() -> bool:
     """Whether a function of this package has been wrapped with
     functools.wraps at run time, as tracers and profilers do. What they
-    record stays in the memory of the process that makes the call, so a
-    forked worker's calls would be lost to them."""
+    record stays in the memory of the process that makes the call, so the
+    calls of a replication run on a forked worker would be lost to them."""
     package = __name__.partition(".")[0]
     functions = [ObservationSet.subset, StepCdf.__post_init__]
     for name, module in list(sys.modules.items()):
@@ -323,30 +323,27 @@ def _wrapped_from_outside() -> bool:
     return any(hasattr(fn, "__wrapped__") for fn in functions)
 
 
-# work, in rows, from which a run forks: an estimate's draws count the
-# rows they gather plus a fixed cost per draw (inference.SubsampleConfig
-# .work), a simulation its replications' rows touched, weighted
-# (simulate.REPLICATION_ROW_WORK). Below it, in end-to-end runs on 2
-# CPUs (CHANGES.md), forking saved no resolvable wall time and cost more
-# CPU: the instrument command ran faster in process in 10, 7 and 7 of 10
-# pairs on 10^4, 10^5 and 2 x 10^5 rows (1,315,500 to 3,569,000 rows of
-# work). Forking on 3 x 10^5 rows (4,412,000) was chosen from the draws
-# alone (0.25 s forked against 0.47 s in process, one warm process), not
-# from a resolved end-to-end gain: that command took 3.446 s in process
-# against 3.590 s forked (medians of 10 pairs, in process faster in 4)
-FORK_MIN_ROWS = 2**22
+# rows touched from which a Monte Carlo run forks its replications
+# (simulate.run_mc): n, and b per subsample draw, in each. Set from
+# end-to-end pairs of `xqte simulate` at n = 10^4 on 2 CPUs (CHANGES.md):
+# two replications of the discontinuity design with B = 500 (651,000
+# rows touched) ran faster forked in 9 of 10 pairs (the instrument
+# design's did not resolve), with B = 250 (335,500) faster in process in
+# 9 of 10; B = 350, and n = 5000 with B = 500, did not resolve and stay
+# in process, where they cost less CPU. Estimates never fork
+FORK_MIN_ROWS = 2**19
 
 
 def fork_workers(tasks: int, rows: int) -> int:
     """How many forked workers fork_map runs a list of tasks on, given
-    its length and its work in rows: one per usable CPU (the CPUs this
-    process may run on), at most one per task, and 1 for work of fewer
-    than FORK_MIN_ROWS rows, which then never imports
-    multiprocessing. It is also 1 without the fork start method, inside a
-    pool worker (a daemon process, which may not fork), while another
-    Python thread is alive (a forked child inherits the locks that thread
-    holds and can deadlock on them) and when a function has been wrapped
-    at run time (_wrapped_from_outside)."""
+    its length and the rows it touches: one per usable CPU (the CPUs this
+    process may run on), at most one per task, and 1 below FORK_MIN_ROWS
+    rows touched, which then never imports multiprocessing. It is also 1
+    without the fork start method, inside a pool worker (a daemon
+    process, which may not fork), while another Python thread is alive
+    (a forked child inherits the locks that thread holds and can deadlock
+    on them) and when a function has been wrapped at run time
+    (_wrapped_from_outside)."""
     workers = min(_usable_cpus(), tasks)
     if workers < 2 or rows < FORK_MIN_ROWS:
         return 1
@@ -380,11 +377,11 @@ def _run_task(i: int):
 def fork_map(fn: Callable, tasks: Sequence[tuple], rows: int) -> list:
     """[fn(*task) for task in tasks], in task order, on a pool of
     fork_workers(len(tasks), rows) forked processes, which is shut down and
-    joined before this returns or raises. fn and the tasks reach the
-    workers by fork inheritance, so closures and large arrays need no
-    pickling; only task numbers go out and results come back. With one
-    worker everything runs in this process. An exception in a worker is
-    re-raised here."""
+    joined before this returns or raises. Its one caller is simulate.run_mc,
+    with one task per replication. fn and the tasks reach the workers by
+    fork inheritance, so closures and large arrays need no pickling; only
+    task numbers go out and results come back. With one worker everything
+    runs in this process. An exception in a worker is re-raised here."""
     workers = fork_workers(len(tasks), rows)
     if workers < 2:
         return [fn(*task) for task in tasks]

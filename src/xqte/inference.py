@@ -11,14 +11,11 @@ whose thresholds are local order statistics, re-selects them on each
 subset so the draws carry the threshold noise as well.
 
 Draw streams come from a caller-supplied rng_for_draw(t) so results do
-not depend on worker count or draw order. The draws run on forked
-workers (core.fork_map), one per usable CPU, each on one contiguous
-block of the draw numbers, once their work (SubsampleConfig.work: b
-gathered rows plus DRAW_ROWS per draw) reaches core.FORK_MIN_ROWS rows;
-what they read reaches them by fork inheritance, and their rows are
-concatenated in draw order. Every row is fitted independently of the
-rows computed with it, so the draws are the same bit for bit at any
-worker count.
+not depend on draw order. The draws run in the calling process at any
+sample size and never fork: a Monte Carlo run forks whole replications
+instead (simulate.run_mc), and a replication's draws run in its worker.
+Every row is fitted independently of the rows computed with it, so the
+draws are the same bit for bit at any chunk size.
 
 One engine (_draws) refits a chunk of draws at a time (as many as fit
 CHUNK_ELEMENTS entries per (draws x b) matrix, and at least
@@ -48,7 +45,7 @@ import numpy as np
 from .cdf_rdd import (
     arm_threshold_rows, jump_ratio_rows, kernel_weights, rot_bandwidths, side_masses,
 )
-from .core import DENOM_EPS, EstimationError, arm_cdf_rows, fork_map, fork_workers, tail_view_rows
+from .core import DENOM_EPS, EstimationError, arm_cdf_rows, tail_view_rows
 from .pipeline import FittedPipeline
 from .tail import TailFit, extrapolated_quantiles, qte_point, tail_index_rows
 
@@ -68,13 +65,6 @@ from .tail import TailFit, extrapolated_quantiles, qte_point, tail_index_rows
 CHUNK_ELEMENTS = 2**14
 MIN_CHUNK_DRAWS = 20
 MAX_CHUNK_ENTRIES = 2**17
-
-# rows' worth of work one subsample draw costs besides the b rows it
-# gathers: its index stream (substream and Generator.choice) and its
-# share of its chunk's per-call overhead. In process, on 2 CPUs, a draw
-# of 20-draw chunks cost 65-120 us plus 0.05-0.06 us per gathered row
-# (CHANGES.md)
-DRAW_ROWS = 2000
 
 # Convergence-rate exponent per design: the scaled dispersion
 # (b/n)^exponent (draw - point) mimics the sampling error of the full
@@ -124,12 +114,6 @@ class SubsampleConfig:
             raise ValueError(f"subsample size b={b} not in (1, n) for n={n}")
         return b
 
-    def work(self, n: int) -> int:
-        """The draws' work on an n-row sample in rows, which sets whether
-        they fork (core.fork_workers): b gathered rows plus DRAW_ROWS per
-        draw."""
-        return (self.resolve_b(n) + DRAW_ROWS) * self.draws
-
 
 @dataclass(frozen=True)
 class TailDraws:
@@ -162,16 +146,7 @@ def subsample_tail_pairs(
     not a permutation.
     """
     b = cfg.validate(pipeline.data.n)
-    # the pipeline, with its ranked sample, reaches the workers by fork;
-    # one contiguous block of draw numbers per worker, concatenated in
-    # draw order; a draw's row does not depend on the rows fitted with it
-    work = cfg.work(pipeline.data.n)
-    workers = fork_workers(cfg.draws, work)
-    bounds = [cfg.draws * k // workers for k in range(workers + 1)]
-    parts = fork_map(_draws, [
-        (pipeline, cfg, b, rng_for_draw, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
-    ], work)
-    *columns, failed_draws = map(np.concatenate, zip(*parts))
+    *columns, failed_draws = _draws(pipeline, cfg, b, rng_for_draw)
     failed = int(failed_draws.sum())
     if failed > cfg.max_failure_share * cfg.draws:
         raise UnstableSubsampling(
@@ -181,9 +156,8 @@ def subsample_tail_pairs(
     return TailDraws(*(column[~failed_draws] for column in columns), failed=failed)
 
 
-def _draws(pipeline, cfg, b, rng_for_draw, draws=None):
-    """Subsample draws for the draw numbers in draws (all of them when
-    omitted), a chunk of draws at a time.
+def _draws(pipeline, cfg, b, rng_for_draw):
+    """All cfg.draws subsample draws, a chunk of draws at a time.
 
     The design's row stage (_frozen_rows, or _rdd_rows for the
     discontinuity design) turns a chunk's sorted unit indices into both
@@ -214,7 +188,7 @@ def _draws(pipeline, cfg, b, rng_for_draw, draws=None):
         failed = ~ok | degenerate.any(axis=0) | (alpha < 0.0).any(axis=0)
         return alpha.T, survival.T, thresholds.T, failed
 
-    draws = range(cfg.draws) if draws is None else draws
+    draws = range(cfg.draws)
     step = max(1, CHUNK_ELEMENTS // b, min(MIN_CHUNK_DRAWS, MAX_CHUNK_ENTRIES // b))
     with np.errstate(divide="ignore", invalid="ignore"):
         parts = [refit(draws[lo:lo + step]) for lo in range(0, len(draws), step)]

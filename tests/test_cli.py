@@ -210,12 +210,12 @@ def test_cli_import_leaves_out_numerical_integration():
 
 
 def test_cli_start_leaves_out_multiprocessing(tmp_path):
-    # only work worth a pool starts worker processes; importing the CLI,
-    # asking a command for its help or estimating on a 2 MB file of 10^4
-    # rows at the default b and B ((631 + 2000) x 500 = 1,315,500 rows of
-    # work, under core.FORK_MIN_ROWS) must not pay for the import, and the
-    # CSV parse never forks, however long the file and however many CPUs
-    # are free
+    # only a Monte Carlo run worth a pool starts worker processes;
+    # importing the CLI, asking a command for its help or estimating on a
+    # 2 MB file of 10^4 rows must not pay for the import, and neither the
+    # CSV parse nor an estimate's draws ever fork, however long the file,
+    # however many CPUs are free and wherever the gate (core.FORK_MIN_ROWS)
+    # stands
     write_gen_csv(tmp_path / "iv.csv", "iv", 10_000, 0)
     write_gen_csv(tmp_path / "rdd.csv", "rdd", 10_000, 1)
     large = tmp_path / "iv4e4.csv"
@@ -229,6 +229,9 @@ def test_cli_start_leaves_out_multiprocessing(tmp_path):
                      "sys.exit('multiprocessing' in sys.modules)")
     codes.append("import sys; from xqte import cli, core; core._usable_cpus = lambda: 2; "
                  f"assert cli.read_estimation_csv({str(large)!r}, 'iv').n == 40_000; "
+                 "sys.exit('multiprocessing' in sys.modules)")
+    codes.append("import sys; from xqte import cli, core; core._usable_cpus = lambda: 2; "
+                 f"core.FORK_MIN_ROWS = 0; cli.main({estimates[0]!r}); "
                  "sys.exit('multiprocessing' in sys.modules)")
     for code in codes:
         assert run_python(code) == 0

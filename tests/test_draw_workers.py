@@ -1,14 +1,12 @@
-"""Subsample draws on forked workers.
+"""Subsample draws stay in the calling process.
 
-subsample_tail_pairs splits the draw numbers into one contiguous block
-per usable CPU and runs each block's engine on a forked worker
-(core.fork_map). The draws must come out the same bit for bit at any
-worker count, reach the workers without pickling, and stay in the
-calling process where forking would be unsafe, would hide calls from
-a tracer or would take longer than the draws.
+subsample_tail_pairs runs every draw in one call of the draw engine, in
+the process that asks for them, at any CPU count and whatever the fork
+gate (core.FORK_MIN_ROWS). Only a Monte Carlo run forks (simulate.run_mc,
+one task per replication), and a replication's draws run inside the
+worker that runs it.
 """
 
-import functools
 import itertools
 import multiprocessing
 import os
@@ -31,26 +29,24 @@ def bits(a):
 
 
 @contextmanager
-def on_cpus(cpus, log_dir, min_rows=0):
+def on_cpus(cpus, log_dir):
     """core's CPU count patched to cpus and the rows from which work
-    forks (core.FORK_MIN_ROWS) to min_rows, so that the small cases below
-    fork; every call of a draw engine leaves a file
-    "<pid>-<ppid>-<first draw>-<end draw>-<call>" in log_dir, call
-    counting the engine calls of its process."""
+    forks (core.FORK_MIN_ROWS) to 0, so that any work would fork; every
+    call of the draw engine leaves a file
+    "<pid>-<ppid>-<draws>-<call>" in log_dir, call counting the engine
+    calls of its process."""
     calls = itertools.count()
 
     def logged(engine):
-        def run(source, cfg, b, rng_for_draw, draws=None):
-            draws = range(cfg.draws) if draws is None else draws
-            name = f"{os.getpid()}-{os.getppid()}-{draws.start}-{draws.stop}-{next(calls)}"
-            (log_dir / name).touch()
-            return engine(source, cfg, b, rng_for_draw, draws)
+        def run(source, cfg, b, rng_for_draw):
+            (log_dir / f"{os.getpid()}-{os.getppid()}-{cfg.draws}-{next(calls)}").touch()
+            return engine(source, cfg, b, rng_for_draw)
 
         return run
 
     with ExitStack() as stack:
         stack.enter_context(mock.patch.object(core, "_usable_cpus", return_value=cpus))
-        stack.enter_context(mock.patch.object(core, "FORK_MIN_ROWS", min_rows))
+        stack.enter_context(mock.patch.object(core, "FORK_MIN_ROWS", 0))
         stack.enter_context(mock.patch.object(inference, "_draws", logged(inference._draws)))
         yield
 
@@ -64,24 +60,13 @@ def log(tmp_path):
 
 
 def engine_calls(log_dir):
-    """(pid, ppid, first draw, end draw) of each logged engine call, by
-    first draw; the log is emptied."""
+    """(pid, ppid, draws) of each logged engine call; the log is
+    emptied."""
     calls = []
     for path in log_dir.iterdir():
-        calls.append(tuple(int(v) for v in path.name.split("-")[:4]))
+        calls.append(tuple(int(v) for v in path.name.split("-")[:3]))
         path.unlink()
-    return sorted(calls, key=lambda call: call[2])
-
-
-def assert_ran_on_workers(calls, cpus):
-    """With one CPU the engine calls ran here; with more, in children of
-    this process (a worker that finishes its block early may take the
-    next one, so the number of distinct workers is not fixed)."""
-    if cpus == 1:
-        assert {call[:2] for call in calls} == {(os.getpid(), os.getppid())}
-    else:
-        assert os.getpid() not in {call[0] for call in calls}
-        assert {call[1] for call in calls} == {os.getpid()}
+    return sorted(calls)
 
 
 def iv_case():
@@ -114,19 +99,16 @@ def rdd_case():
 
 
 @pytest.mark.parametrize("case", [iv_case, direct_case, rdd_case], ids=["iv", "direct", "rdd"])
-def test_draws_are_the_same_at_any_worker_count(case, log):
+def test_draws_never_leave_this_process(case, log):
+    # with every CPU free and the fork gate at 0, one engine call runs all
+    # the draws here, and they come out as on one CPU
     pipe, cfg = case()
     stream = lambda t: substream(5, t)  # noqa: E731
     runs = {}
     for cpus in (1, 2, 3):
         with on_cpus(cpus, log):
             runs[cpus] = subsample_tail_pairs(pipe, cfg, stream)
-        calls = engine_calls(log)
-        # one contiguous block per worker, covering every draw once
-        assert [call[2:] for call in calls] == [
-            (cfg.draws * k // cpus, cfg.draws * (k + 1) // cpus) for k in range(cpus)
-        ]
-        assert_ran_on_workers(calls, cpus)
+        assert engine_calls(log) == [(os.getpid(), os.getppid(), cfg.draws)]
         assert not multiprocessing.active_children()
     one = runs[1]
     assert one.failed > 0 and np.isinf(one.alphas).any()
@@ -134,23 +116,6 @@ def test_draws_are_the_same_at_any_worker_count(case, log):
         assert tails.failed == one.failed
         for name in ("alphas", "survivals", "thresholds"):
             assert bits(getattr(tails, name)) == bits(getattr(one, name))
-
-
-@pytest.mark.parametrize("case", [iv_case, direct_case, rdd_case], ids=["iv", "direct", "rdd"])
-def test_small_draw_sets_stay_in_process(case, log):
-    # every design's draw set forks from the same core.FORK_MIN_ROWS
-    # rows of work on (SubsampleConfig.work: b gathered rows plus
-    # inference.DRAW_ROWS per draw)
-    pipe, cfg = case()
-    work = cfg.work(pipe.data.n)
-    assert work == (cfg.resolve_b(pipe.data.n) + inference.DRAW_ROWS) * cfg.draws
-    for min_rows, blocks in ((work + 1, 1), (work, 2), (core.FORK_MIN_ROWS, 1)):
-        with on_cpus(2, log, min_rows):
-            subsample_tail_pairs(pipe, cfg, lambda t: substream(5, t))
-        calls = engine_calls(log)
-        assert [call[2:] for call in calls] == [
-            (cfg.draws * k // blocks, cfg.draws * (k + 1) // blocks) for k in range(blocks)]
-        assert_ran_on_workers(calls, blocks)
 
 
 def write_csv(path, data):
@@ -166,6 +131,9 @@ def write_csv(path, data):
 @pytest.mark.parametrize("design", ["iv", "rdd"])
 @pytest.mark.parametrize("side, q", [("lower", ["0.02", "0.025"]), ("upper", ["0.98", "0.975"])])
 def test_estimate_outputs_are_the_same_at_any_worker_count(design, side, q, tmp_path, log):
+    # an estimate's draws run in one engine call in this process, however
+    # many CPUs are free and wherever the fork gate stands, and write the
+    # same bytes on 2 CPUs as on 1
     gen = gen_iv if design == "iv" else gen_rdd
     src = tmp_path / "in.csv"
     write_csv(src, gen(substream(1, 3), 3000).data)
@@ -176,45 +144,10 @@ def test_estimate_outputs_are_the_same_at_any_worker_count(design, side, q, tmp_
                 "--B", "150", "--seed", "3", "--out", str(out)]
         with on_cpus(cpus, log):
             assert main(argv) == 0
-        assert_ran_on_workers(engine_calls(log), cpus)
+        assert engine_calls(log) == [(os.getpid(), os.getppid(), 150)]
         outputs[cpus] = [(out / name).read_bytes()
                          for name in ("cdf.csv", "paretofit.csv", "qte.csv")]
     assert outputs[1] == outputs[2]
-
-
-def test_wrapped_function_keeps_the_draws_in_process(log):
-    # a tracer records only the calls made in its own process
-    pipe, cfg = iv_case()
-    seen = []
-
-    @functools.wraps(core.substream)
-    def traced(*args):
-        seen.append(os.getpid())
-        return substream(*args)
-
-    with on_cpus(2, log), mock.patch.object(core, "substream", traced):
-        tails = subsample_tail_pairs(pipe, cfg, lambda t: traced(5, t))
-    assert seen == [os.getpid()] * cfg.draws
-    calls = engine_calls(log)
-    assert [call[2:] for call in calls] == [(0, cfg.draws)]
-    assert_ran_on_workers(calls, 1)
-    with on_cpus(1, log):
-        plain = subsample_tail_pairs(pipe, cfg, lambda t: substream(5, t))
-    assert bits(tails.alphas) == bits(plain.alphas)
-
-
-def test_other_errors_reach_the_caller_from_a_draw_worker(log):
-    pipe, cfg = iv_case()
-
-    def stream(t):
-        if t == cfg.draws - 1:  # in the last block
-            raise ValueError(os.getpid())
-        return substream(5, t)
-
-    with on_cpus(2, log), pytest.raises(ValueError) as raised:
-        subsample_tail_pairs(pipe, cfg, stream)
-    assert raised.value.args[0] != os.getpid()  # raised in a worker
-    assert not multiprocessing.active_children()
 
 
 def test_draws_inside_monte_carlo_workers_stay_in_the_replication(log):
@@ -225,38 +158,32 @@ def test_draws_inside_monte_carlo_workers_stay_in_the_replication(log):
     with on_cpus(2, log):
         run_mc(cfg)
     calls = engine_calls(log)
-    assert [call[2:] for call in calls] == [(0, 100)] * 2
-    assert_ran_on_workers(calls, 2)
+    assert [call[2] for call in calls] == [100] * 2
+    # a worker that finishes its replication early may take the next one
+    assert os.getpid() not in {call[0] for call in calls}
+    assert {call[1] for call in calls} == {os.getpid()}
     assert not multiprocessing.active_children()
 
 
 def test_fork_gate_on_two_cpus():
-    # the estimate commands' draws (default b, B = 500) run in process at
-    # n = 10^4 (1,315,500 rows of work) and 10^5 (2,581,500), where forking
-    # cost more CPU than the draws and saved no wall time, and fork at
-    # 3 x 10^5 (b = 6824: 4,412,000). Simulations at n = 10^4 weigh each
-    # row a replication touches as simulate.REPLICATION_ROW_WORK rows of
-    # work: two replications fork with B = 500 (651,000 rows touched,
-    # 5,208,000 of work) and stay in process with B = 250 (335,500 and
-    # 2,684,000), as measured end to end; the benchmark's simulations (6
-    # and 8 replications, B = 500) fork. Nothing runs: run_mc's pool is
-    # replaced by the gate's decision and replications that fail
-    sub = SubsampleConfig()
+    # simulations at n = 10^4 count the rows a replication touches (n, and
+    # b per draw): two replications fork with B = 500 (651,000 rows
+    # touched) and stay in process with B = 250 (335,500), as measured end
+    # to end; the benchmark's simulations (6 and 8 replications, B = 500)
+    # fork. Nothing runs: run_mc's pool is replaced by the gate's decision
+    # and replications that fail
     decided = []
 
     def gate(fn, tasks, rows):
         decided.append(core.fork_workers(len(tasks), rows))
         return [None] * len(tasks)
 
-    with mock.patch.object(core, "_usable_cpus", return_value=2):
-        assert [sub.resolve_b(n) for n in (10_000, 100_000, 300_000)] == [631, 3163, 6824]
-        assert [core.fork_workers(sub.draws, sub.work(n)) for n in (10_000, 100_000, 300_000)] \
-            == [1, 1, 2]
-        with mock.patch("xqte.simulate.fork_map", gate):
-            for design, reps, draws in (("iv", 2, 500), ("rdd", 2, 500), ("iv", 2, 250),
-                                        ("rdd", 2, 250), ("iv", 6, 500), ("rdd", 8, 500)):
-                run_mc(McConfig(design=design, n_list=(10_000,), q_list=(0.025,), reps=reps,
-                                seed=1, subsample=SubsampleConfig(draws=draws)))
+    with mock.patch.object(core, "_usable_cpus", return_value=2), \
+            mock.patch("xqte.simulate.fork_map", gate):
+        for design, reps, draws in (("iv", 2, 500), ("rdd", 2, 500), ("iv", 2, 250),
+                                    ("rdd", 2, 250), ("iv", 6, 500), ("rdd", 8, 500)):
+            run_mc(McConfig(design=design, n_list=(10_000,), q_list=(0.025,), reps=reps,
+                            seed=1, subsample=SubsampleConfig(draws=draws)))
     assert decided == [2, 2, 1, 1, 2, 2]
 
 

@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from xqte import cdf_iv, core, inference
+from xqte import cdf_iv, inference
 from xqte.cdf_iv import kappa_cdf, kappa_weights, logistic
 from xqte.core import EstimationError, ObservationSet, substream
 from xqte.inference import (
@@ -218,21 +218,15 @@ def test_direct_draws_with_outcomes_tied_across_arms(seed, side, chunk):
         check_draws(pipe, cfg, seed)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("design", ["iv", "direct"])
-def test_chunk_boundaries_inside_a_workers_block(design, workers):
-    # 7 draws per chunk: the blocks of 2 workers (0-49, 50-100) and 3
-    # workers (0-32, 33-66, 67-100) each end in a part chunk, and each
-    # worker's chunks start at its own block's first draw
+def test_draws_end_in_a_part_chunk(design):
+    # 7 draws per chunk: 101 draws end in a chunk of 3
     data = gen_iv(substream(9, 1), 400).data
     if design == "direct":
         data = direct_set(data.y, data.d)
     pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
     cfg = SubsampleConfig(b=40, draws=101, max_failure_share=0.5)
-    with patched(7 * 40, raw=False), \
-            mock.patch.object(core, "_usable_cpus", return_value=workers), \
-            mock.patch.object(core, "FORK_MIN_ROWS", 0):
-        assert core.fork_workers(cfg.draws, 40 * cfg.draws) == workers
+    with patched(7 * 40, raw=False):
         check_draws(pipe, cfg, 13, data.x)
 
 
