@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from xqte import cdf_iv, inference
+from xqte import cdf_iv, core, inference
 from xqte.cdf_iv import kappa_cdf, kappa_weights, logistic
 from xqte.core import EstimationError, ObservationSet, substream
 from xqte.inference import (
@@ -218,15 +218,21 @@ def test_direct_draws_with_outcomes_tied_across_arms(seed, side, chunk):
         check_draws(pipe, cfg, seed)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("design", ["iv", "direct"])
-def test_draws_end_in_a_part_chunk(design):
-    # 7 draws per chunk: 101 draws end in a chunk of 3
+def test_chunk_boundaries_inside_a_workers_block(design, workers):
+    # 7 draws per chunk: 101 draws end in a chunk of 3. With fork_map
+    # offering 1-3 workers for the draws' work, they still run as one
+    # block in this process, and the part chunk matches the oracle
     data = gen_iv(substream(9, 1), 400).data
     if design == "direct":
         data = direct_set(data.y, data.d)
     pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
     cfg = SubsampleConfig(b=40, draws=101, max_failure_share=0.5)
-    with patched(7 * 40, raw=False):
+    with patched(7 * 40, raw=False), \
+            mock.patch.object(core, "_usable_cpus", return_value=workers), \
+            mock.patch.object(core, "FORK_MIN_ROWS", 0):
+        assert core.fork_workers(cfg.draws, 40 * cfg.draws) == workers
         check_draws(pipe, cfg, 13, data.x)
 
 
