@@ -16,23 +16,37 @@ Typical use goes through fit_pipeline and estimate_qte_batch:
 The stages behind them are importable from their own modules: xqte.core,
 xqte.cdf_iv, xqte.cdf_rdd, xqte.tail, xqte.pipeline, xqte.inference and
 xqte.simulate.
+
+Each name in __all__ loads its home module, and numpy with it, on first
+use: importing the package alone imports no numpy and leaves the
+environment as it was, so a program that uses xqte keeps its own BLAS
+settings.
 """
 
-from .core import EstimationError, ObservationSet, flip_outcomes, substream
-from .pipeline import EstimatorSettings, fit_pipeline
-from .inference import CiResult, QteResult, SubsampleConfig, estimate_qte_batch
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CiResult",
-    "EstimationError",
-    "EstimatorSettings",
-    "ObservationSet",
-    "QteResult",
-    "SubsampleConfig",
-    "estimate_qte_batch",
-    "fit_pipeline",
-    "flip_outcomes",
-    "substream",
-]
+# public name -> the module that defines it
+_HOMES = {
+    "CiResult": "inference",
+    "EstimationError": "core",
+    "EstimatorSettings": "pipeline",
+    "ObservationSet": "core",
+    "QteResult": "inference",
+    "SubsampleConfig": "inference",
+    "estimate_qte_batch": "inference",
+    "fit_pipeline": "pipeline",
+    "flip_outcomes": "core",
+    "substream": "core",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -563,7 +563,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"estimation error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 4
     return 0
-
-
-def entry() -> None:
-    raise SystemExit(main())

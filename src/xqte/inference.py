@@ -341,6 +341,33 @@ class CiResult:
     n_failed: int
 
 
+def _linear_quantiles(values: np.ndarray, levels: Sequence[float]) -> list:
+    """np.quantile(values, levels) with its default linear method, bit for
+    bit, without the np.unique call that makes numpy's first quantile in a
+    process import numpy.ma.
+
+    Like numpy, partition a copy at the sorted set {0, -1} and each level's
+    two neighbours (-1 from index n - 1 on), return the last value for
+    every level when it is NaN, and interpolate a + d g, or b - d (1 - g)
+    from g = 0.5 on. A full sort would not do: where -0.0 and 0.0 tie, it
+    can order them differently, and a zero quantile then changes sign."""
+    n = values.size
+    spots = []
+    for p in levels:
+        v = (n - 1) * p
+        lo, hi = (-1, -1) if v >= n - 1 else (math.floor(v), math.floor(v) + 1)
+        spots.append((lo, hi, v - lo))
+    part = np.partition(values, sorted({0, -1, *(i for lo, hi, _ in spots for i in (lo, hi))}))
+    if np.isnan(part[-1]):
+        return [part[-1]] * len(spots)
+    out = []
+    for lo, hi, g in spots:
+        a, b = part[lo], part[hi]
+        d = b - a
+        out.append(b - d * (1 - g) if g >= 0.5 else a + d * g)
+    return out
+
+
 def subsampling_ci(
     draws: np.ndarray,
     point: float,
@@ -361,7 +388,7 @@ def subsampling_ci(
     # next to an infinite draw the quantile's interpolation can meet
     # inf - inf; estimate_qte_batch raises on the endpoint that gives
     with np.errstate(invalid="ignore"):
-        s_lo, s_hi = np.quantile(scaled, [a / 2.0, 1.0 - a / 2.0])
+        s_lo, s_hi = _linear_quantiles(scaled, [a / 2.0, 1.0 - a / 2.0])
     return CiResult(
         lo=point - s_hi,
         hi=point - s_lo,

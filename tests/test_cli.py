@@ -263,6 +263,84 @@ def test_instrument_commands_run_without_scipy(tmp_path):
     assert (tmp_path / "est" / "qte.csv").exists() and (tmp_path / "sim" / "table.csv").exists()
 
 
+def test_estimates_leave_out_masked_arrays(tmp_path):
+    # the interval's quantiles skip np.quantile, whose first call in a
+    # process imports numpy.ma through np.unique (about 0.01 s)
+    write_iv_toy(tmp_path / "iv.csv")
+    write_rdd_toy(tmp_path / "rdd.csv")
+    commands = [
+        ["estimate-iv", "--input", str(tmp_path / "iv.csv"), "--q", "0.1", "--ymin-level", "0.7",
+         "--b", "48", "--B", "100", "--seed", "3", "--out", str(tmp_path / "iv")],
+        ["estimate-rdd", "--input", str(tmp_path / "rdd.csv"), "--q", "0.1", "--ymin-level",
+         "0.8", "--b", "16", "--B", "120", "--out", str(tmp_path / "rdd")],
+    ]
+    for argv in commands:
+        code = ("import sys; from xqte.cli import main; "
+                f"sys.exit(main({argv!r}) or 10 * ('numpy.ma' in sys.modules))")
+        assert run_python(code) == 0
+        assert (Path(argv[-1]) / "qte.csv").exists()
+
+
+def test_package_import_leaves_numpy_and_environment_alone():
+    # a library user's process keeps its own OpenBLAS settings: the
+    # package loads numpy only when a name needs it
+    code = ("import os, sys; env = dict(os.environ); import xqte; "
+            "sys.exit(('numpy' in sys.modules) + 10 * (dict(os.environ) != env))")
+    assert run_python(code) == 0
+
+
+def test_package_names_resolve_on_first_use():
+    code = "\n".join([
+        "import sys, xqte",
+        "for name in xqte.__all__:",
+        "    value = getattr(xqte, name)",
+        "    assert getattr(sys.modules[value.__module__], name) is value, name",
+        "    assert vars(xqte)[name] is value, name",
+        "try:",
+        "    xqte.no_such_name",
+        "except AttributeError:",
+        "    sys.exit(0)",
+        "sys.exit(1)",
+    ])
+    assert run_python(code) == 0
+
+
+def help_as_main(blas_threads, check):
+    """Code that runs `python -m xqte estimate-iv --help` in its own
+    process, with OPENBLAS_NUM_THREADS set to blas_threads or unset, and
+    exits with 0 when the command did and check holds afterwards."""
+    setup = ("os.environ.pop('OPENBLAS_NUM_THREADS', None)" if blas_threads is None
+             else f"os.environ['OPENBLAS_NUM_THREADS'] = {blas_threads!r}")
+    return "\n".join([
+        "import os, runpy, sys",
+        setup,
+        "sys.argv = ['xqte', 'estimate-iv', '--help']",
+        "try:",
+        "    runpy.run_module('xqte', run_name='__main__')",
+        "except SystemExit as exc:",
+        "    code = exc.code",
+        f"sys.exit(code or 10 * ('numpy' not in sys.modules) or 20 * (not ({check})))",
+    ])
+
+
+@pytest.mark.parametrize("blas_threads, expected", [(None, "1"), ("2", "2")])
+def test_command_line_starts_one_blas_thread_unless_set(blas_threads, expected):
+    # xqte makes no BLAS call on data; a user's own setting wins
+    check = f"os.environ['OPENBLAS_NUM_THREADS'] == {expected!r}"
+    assert run_python(help_as_main(blas_threads, check)) == 0
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="OpenBLAS starts a thread per usable CPU, so at one CPU the process runs one "
+    "thread with or without the setting and the count cannot tell them apart; the "
+    "threads are counted in Linux's /proc",
+)
+def test_command_line_process_runs_one_thread():
+    check = "len(os.listdir('/proc/self/task')) == 1"
+    assert run_python(help_as_main(None, check)) == 0
+
+
 class TestExitCodes:
     def test_schema_error_names_line(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"

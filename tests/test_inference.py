@@ -139,6 +139,46 @@ class TestSubsamplingCi:
         assert ci.lo == 7.25 == ci.hi
 
 
+class TestLinearQuantiles:
+    """inference._linear_quantiles takes the interval's two quantiles
+    without np.quantile's import of numpy.ma; it must keep np.quantile's
+    bytes, the sign of a zero and NaN included."""
+
+    CI_LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99)
+    KINDS = ("plain", "ties", "signed zeros", "infinities", "nan")
+
+    @staticmethod
+    def sample(rng, kind):
+        n = int(rng.integers(2, 601))
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        if kind == "ties":
+            x = np.round(x, int(rng.integers(0, 2)))
+        elif kind == "signed zeros":
+            x = np.round(x)
+            x[rng.random(n) < 0.5] *= 0.0  # -0.0 where x was negative
+        elif kind in ("infinities", "nan"):
+            u = rng.random(n)
+            x[u < 0.05] = np.inf
+            x[(u >= 0.05) & (u < 0.1)] = -np.inf
+            if kind == "nan":
+                x[u > 0.98] = np.nan
+        return x
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_numpy_bit_for_bit(self, kind):
+        rng = substream(61, self.KINDS.index(kind))
+        for _ in range(400):
+            x = self.sample(rng, kind)
+            a = 1.0 - self.CI_LEVELS[int(rng.integers(len(self.CI_LEVELS)))]
+            levels = [a / 2.0, 1.0 - a / 2.0]
+            with np.errstate(invalid="ignore"):
+                want = np.quantile(x, levels)
+                got = np.array(inference._linear_quantiles(x, levels))
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert bits(got[~nan]) == bits(want[~nan])
+
+
 class TestFullSampleDegenerate:
     """With b = n every draw is the full sample, so the draws must
     reproduce each arm's fit (alpha_hat, s_min, y_min) and the point
