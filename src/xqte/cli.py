@@ -395,16 +395,23 @@ def write_cdf_csv(path: Path, pipe: FittedPipeline) -> None:
 
 def read_cdf_csv(path: Path | str) -> tuple[StepCdf, StepCdf]:
     """Re-ingest a cdf.csv; returns (beta1, beta0) bit-identical to the
-    pair that wrote it."""
+    pair that wrote it. A file that is not one raises DataError."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header != ["y", "beta0", "beta1"]:
-            raise DataError(f"not a cdf.csv: header {','.join(header)}")
-        cols = [[float(c) for c in row] for row in reader if row]
-    arr = np.asarray(cols, dtype=float)
-    knots = arr[:, 0]
-    return StepCdf(knots, arr[:, 2]), StepCdf(knots, arr[:, 1])
+            raise DataError(f"not a cdf.csv: header {','.join(header) or 'missing'}")
+        rows = [row for row in reader if row]
+    if not rows:
+        raise DataError("cdf.csv has a header but no rows")
+    try:
+        arr = np.array([[float(c) for c in row] for row in rows])
+        if arr.shape[1] != 3:
+            raise DataError("cdf.csv rows need 3 fields")
+        knots = arr[:, 0]
+        return StepCdf(knots, arr[:, 2]), StepCdf(knots, arr[:, 1])
+    except ValueError as exc:  # a field, a row length or the knots
+        raise DataError(f"malformed cdf.csv: {exc}")
 
 
 def write_paretofit_csv(path: Path, pipe: FittedPipeline) -> None:

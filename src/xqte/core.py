@@ -1,6 +1,5 @@
 """Shared data model: observation sets, ranked samples and their step
-CDFs, proper-CDF views, outcome flipping, reproducible RNG substreams,
-and the fork pool that runs independent tasks on worker processes.
+CDFs, proper-CDF views, outcome flipping and reproducible RNG substreams.
 
 Counterfactual CDF estimators in this package return raw step functions
 that need not be monotone or stay inside [0, 1]. Tail fits read them
@@ -10,11 +9,8 @@ exactly 1, so threshold lookups on it are always well defined.
 
 from __future__ import annotations
 
-import os
-import sys
-import types
 from dataclasses import dataclass, replace
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -301,96 +297,3 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     simulation output independent of worker count.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _wrapped_from_outside() -> bool:
-    """Whether a function of this package has been wrapped with
-    functools.wraps at run time, as tracers and profilers do. What they
-    record stays in the memory of the process that makes the call, so the
-    calls of a replication run on a forked worker would be lost to them."""
-    package = __name__.partition(".")[0]
-    functions = [ObservationSet.subset, StepCdf.__post_init__]
-    for name, module in list(sys.modules.items()):
-        if name == package or name.startswith(package + "."):
-            functions += [v for v in vars(module).values() if isinstance(v, types.FunctionType)]
-    return any(hasattr(fn, "__wrapped__") for fn in functions)
-
-
-# rows touched from which a Monte Carlo run forks its replications
-# (simulate.run_mc): n, and b per subsample draw, in each. Set from
-# end-to-end pairs of `xqte simulate` at n = 10^4 on 2 CPUs (CHANGES.md):
-# two replications of the discontinuity design with B = 500 (651,000
-# rows touched) ran faster forked in 9 of 10 pairs (the instrument
-# design's did not resolve), with B = 250 (335,500) faster in process in
-# 9 of 10; B = 350, and n = 5000 with B = 500, did not resolve and stay
-# in process, where they cost less CPU. Estimates never fork
-FORK_MIN_ROWS = 2**19
-
-
-def fork_workers(tasks: int, rows: int) -> int:
-    """How many forked workers fork_map runs a list of tasks on, given
-    its length and the rows it touches: one per usable CPU (the CPUs this
-    process may run on), at most one per task, and 1 below FORK_MIN_ROWS
-    rows touched, which then never imports multiprocessing. It is also 1
-    without the fork start method, inside a pool worker (a daemon
-    process, which may not fork), while another Python thread is alive
-    (a forked child inherits the locks that thread holds and can deadlock
-    on them) and when a function has been wrapped at run time
-    (_wrapped_from_outside)."""
-    workers = min(_usable_cpus(), tasks)
-    if workers < 2 or rows < FORK_MIN_ROWS:
-        return 1
-    import multiprocessing
-    import threading
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
-            or threading.active_count() > 1
-            or _wrapped_from_outside()):
-        return 1
-    return workers
-
-
-# a fork_map worker's function and task list, set by the pool's
-# initializer in the worker only; under fork the initializer's arguments
-# are inherited with the process, so neither is pickled
-_fork_job: tuple[Callable, Sequence[tuple]] | None = None
-
-
-def _install_job(job: tuple[Callable, Sequence[tuple]]) -> None:
-    global _fork_job
-    _fork_job = job
-
-
-def _run_task(i: int):
-    fn, tasks = _fork_job
-    return fn(*tasks[i])
-
-
-def fork_map(fn: Callable, tasks: Sequence[tuple], rows: int) -> list:
-    """[fn(*task) for task in tasks], in task order, on a pool of
-    fork_workers(len(tasks), rows) forked processes, which is shut down and
-    joined before this returns or raises. Its one caller is simulate.run_mc,
-    with one task per replication. fn and the tasks reach the workers by
-    fork inheritance, so closures and large arrays need no pickling; only
-    task numbers go out and results come back. With one worker everything
-    runs in this process. An exception in a worker is re-raised here."""
-    workers = fork_workers(len(tasks), rows)
-    if workers < 2:
-        return [fn(*task) for task in tasks]
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    with context.Pool(workers, initializer=_install_job, initargs=((fn, tasks),)) as pool:
-        # leaving the block after an error terminates and joins the pool
-        out = pool.map(_run_task, range(len(tasks)))
-        pool.close()
-        pool.join()
-    return out

@@ -14,12 +14,16 @@ negated scale: the complier effect of +1 appears as -1.
 
 from __future__ import annotations
 
+import os
+import sys
+import types
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .cdf_iv import linear_index, logistic
-from .core import EstimationError, ObservationSet, flip_outcomes, fork_map, substream
+from .core import EstimationError, ObservationSet, StepCdf, flip_outcomes, substream
 from .inference import QteResult, SubsampleConfig, estimate_qte_batch
 from .pipeline import EstimatorSettings, fit_pipeline
 
@@ -191,10 +195,85 @@ def _replicate(config: McConfig, n_idx: int, rep: int) -> list[QteResult] | None
         return None
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _wrapped_from_outside() -> bool:
+    """Whether a function of this package has been wrapped with
+    functools.wraps at run time, as tracers and profilers do. What they
+    record stays in the memory of the process that makes the call, so the
+    calls of a replication run on a forked worker would be lost to them."""
+    package = __name__.partition(".")[0]
+    functions = [ObservationSet.subset, StepCdf.__post_init__]
+    for name, module in list(sys.modules.items()):
+        if name == package or name.startswith(package + "."):
+            functions += [v for v in vars(module).values() if isinstance(v, types.FunctionType)]
+    return any(hasattr(fn, "__wrapped__") for fn in functions)
+
+
+# rows touched from which a Monte Carlo run forks its replications
+# (run_mc): n, and b per subsample draw, in each. Set from end-to-end
+# pairs of `xqte simulate` at n = 10^4 on 2 CPUs (CHANGES.md): two
+# replications of the discontinuity design with B = 500 (651,000 rows
+# touched) ran faster forked in 9 of 10 pairs (the instrument design's
+# did not resolve), with B = 250 (335,500) faster in process in 9 of 10;
+# B = 350, and n = 5000 with B = 500, did not resolve and stay in
+# process, where they cost less CPU. Estimates never fork
+FORK_MIN_ROWS = 2**19
+
+
+def fork_workers(tasks: int, rows: int) -> int:
+    """How many forked workers fork_map runs a list of tasks on, given
+    its length and the rows it touches: one per usable CPU (the CPUs this
+    process may run on), at most one per task, and 1 below FORK_MIN_ROWS
+    rows touched, which then never imports multiprocessing. It is also 1
+    without the fork start method, inside a pool worker (a daemon
+    process, which may not fork), while another Python thread is alive
+    (a forked child inherits the locks that thread holds and can deadlock
+    on them) and when a function has been wrapped at run time
+    (_wrapped_from_outside)."""
+    workers = min(_usable_cpus(), tasks)
+    if workers < 2 or rows < FORK_MIN_ROWS:
+        return 1
+    import multiprocessing
+    import threading
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1
+            or _wrapped_from_outside()):
+        return 1
+    return workers
+
+
+def fork_map(fn: Callable, tasks: Sequence[tuple], rows: int) -> list:
+    """[fn(*task) for task in tasks], in task order, on a pool of
+    fork_workers(len(tasks), rows) forked processes, which is shut down and
+    joined before this returns or raises. fn, the tasks and the results
+    are pickled, so fn is a module-level function. With one worker
+    everything runs in this process. An exception in a worker is
+    re-raised here."""
+    workers = fork_workers(len(tasks), rows)
+    if workers < 2:
+        return [fn(*task) for task in tasks]
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        # leaving the block after an error terminates and joins the pool
+        out = pool.starmap(fn, tasks)
+        pool.close()
+        pool.join()
+    return out
+
+
 def run_mc(config: McConfig) -> McReport:
     """Run the Monte Carlo, one _replicate call per (sample size,
     replication), on forked workers once the rows the replications touch
-    reach core.FORK_MIN_ROWS (core.fork_workers). Every replication draws
+    reach FORK_MIN_ROWS (fork_workers). Every replication draws
     from its own substreams, so the report is the same for any worker
     count and any subset of cells can be reproduced in isolation.
 

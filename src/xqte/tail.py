@@ -211,7 +211,9 @@ def fit_arm(
     1 - y_min, the fit runs there, and the shift is recorded on the
     TailFit so quantiles map back. Treatment-effect differences are
     unaffected by the shift. A shift so large that it rounds two knots
-    onto one value, or the threshold onto 0, raises ShiftMergesKnots.
+    onto one value, or the threshold onto 0, raises ShiftMergesKnots. An
+    EmptyTail or NonPositiveSurvival of a shifted fit names y_min and the
+    shift.
     """
     if y_min > 0.0:
         return pareto_index(view, y_min, omega, s_min)
@@ -222,7 +224,10 @@ def fit_arm(
             f"shifting the outcomes by {shift:.6g} to make the threshold positive "
             "rounds the threshold onto 0 or merges adjacent knots"
         )
-    fit = pareto_index(StepCdf(knots, view.values), y_min + shift, omega, s_min)
+    try:
+        fit = pareto_index(StepCdf(knots, view.values), y_min + shift, omega, s_min)
+    except (EmptyTail, NonPositiveSurvival) as err:
+        raise type(err)(f"threshold {y_min:g} shifted by {shift:.6g}: {err}") from None
     return replace(fit, shift=shift)
 
 

@@ -193,10 +193,12 @@ class TestEstimateIv:
         assert "gamma" in run["_meta"]["design_meta"]
 
 
-def run_python(code):
+def run_python(code, **variables):
+    """The exit code of code run in a new interpreter that imports xqte
+    from this tree, with the given environment variables set too."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, **variables, PYTHONPATH=path)
     return subprocess.run([sys.executable, "-c", code], env=env).returncode
 
 
@@ -214,7 +216,7 @@ def test_cli_start_leaves_out_multiprocessing(tmp_path):
     # importing the CLI, asking a command for its help or estimating on a
     # 2 MB file of 10^4 rows must not pay for the import, and neither the
     # CSV parse nor an estimate's draws ever fork, however long the file,
-    # however many CPUs are free and wherever the gate (core.FORK_MIN_ROWS)
+    # however many CPUs are free and wherever the gate (simulate.FORK_MIN_ROWS)
     # stands
     write_gen_csv(tmp_path / "iv.csv", "iv", 10_000, 0)
     write_gen_csv(tmp_path / "rdd.csv", "rdd", 10_000, 1)
@@ -227,11 +229,11 @@ def test_cli_start_leaves_out_multiprocessing(tmp_path):
     for argv in (["simulate", "--help"], ["estimate-iv", "--help"], *estimates):
         codes.append(f"import sys; from xqte.cli import main; main({argv!r}); "
                      "sys.exit('multiprocessing' in sys.modules)")
-    codes.append("import sys; from xqte import cli, core; core._usable_cpus = lambda: 2; "
+    codes.append("import sys; from xqte import cli, simulate; simulate._usable_cpus = lambda: 2; "
                  f"assert cli.read_estimation_csv({str(large)!r}, 'iv').n == 40_000; "
                  "sys.exit('multiprocessing' in sys.modules)")
-    codes.append("import sys; from xqte import cli, core; core._usable_cpus = lambda: 2; "
-                 f"core.FORK_MIN_ROWS = 0; cli.main({estimates[0]!r}); "
+    codes.append("import sys; from xqte import cli, simulate; simulate._usable_cpus = lambda: 2; "
+                 f"simulate.FORK_MIN_ROWS = 0; cli.main({estimates[0]!r}); "
                  "sys.exit('multiprocessing' in sys.modules)")
     for code in codes:
         assert run_python(code) == 0
@@ -339,6 +341,45 @@ def test_command_line_starts_one_blas_thread_unless_set(blas_threads, expected):
 def test_command_line_process_runs_one_thread():
     check = "len(os.listdir('/proc/self/task')) == 1"
     assert run_python(help_as_main(None, check)) == 0
+
+
+def dispatched_features():
+    """The SIMD features beyond numpy's baseline that numpy dispatches
+    to on this CPU: the ones NPY_DISABLE_CPU_FEATURES may switch off
+    (numpy refuses to start when asked to disable a baseline feature)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+@pytest.mark.parametrize("design", ["iv", "rdd"])
+def test_estimates_agree_across_simd_dispatch(design, tmp_path):
+    # reruns are byte-identical on one CPU type; the transcendental
+    # ufuncs (np.exp and np.logaddexp in the logit, np.log in the tail
+    # integrals) follow the SIMD kernels numpy picks for the CPU, so
+    # across CPU types the artifacts agree within 1e-12 relative. The
+    # second run here disables every dispatched feature this CPU has
+    features = dispatched_features()
+    if not features:
+        pytest.skip("numpy dispatches to no SIMD feature beyond its baseline on this CPU")
+    src = tmp_path / "in.csv"
+    write_gen_csv(src, design, 2000, 0)
+    runs = []
+    for variables in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(features)}):
+        out = tmp_path / f"out{len(runs)}"
+        argv = [f"estimate-{design}", "--input", str(src), "--q", "0.01", "0.02",
+                "--B", "200", "--out", str(out)]
+        assert run_python(f"from xqte.cli import main; raise SystemExit(main({argv!r}))",
+                          **variables) == 0
+        runs.append(out)
+    for name in ("cdf.csv", "paretofit.csv", "qte.csv"):
+        default, baseline = (out / name for out in runs)
+        assert default.read_text().partition("\n")[0] == baseline.read_text().partition("\n")[0]
+        np.testing.assert_allclose(np.loadtxt(baseline, delimiter=",", skiprows=1),
+                                   np.loadtxt(default, delimiter=",", skiprows=1),
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestExitCodes:

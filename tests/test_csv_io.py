@@ -207,3 +207,16 @@ def test_cdf_csv_longer_than_a_block_round_trips(tmp_path):
     assert c1.knots.tobytes() == knots.tobytes() == c0.knots.tobytes()
     assert c1.values.tobytes() == v1.tobytes()
     assert c0.values.tobytes() == v0.tobytes()
+
+
+def test_cdf_csv_that_is_not_one_is_a_data_error(tmp_path):
+    path = tmp_path / "cdf.csv"
+    for text, message in (("", "not a cdf.csv: header missing"),
+                          ("y,beta0,beta1\n", "cdf.csv has a header but no rows"),
+                          ("y,beta0,beta1\n1,0.5\n", "rows need 3 fields"),
+                          ("y,beta0,beta1\n1,0.5,1\n2,1\n", "malformed cdf.csv"),
+                          ("y,beta0,beta1\n1,x,1\n", "malformed cdf.csv"),
+                          ("y,beta0,beta1\n2,0.5,1\n1,1,1\n", "malformed cdf.csv")):
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            read_cdf_csv(path)

@@ -2,7 +2,7 @@
 
 subsample_tail_pairs runs every draw in one call of the draw engine, in
 the process that asks for them, at any CPU count and whatever the fork
-gate (core.FORK_MIN_ROWS). Only a Monte Carlo run forks (simulate.run_mc,
+gate (simulate.FORK_MIN_ROWS). Only a Monte Carlo run forks (simulate.run_mc,
 one task per replication), and a replication's draws run inside the
 worker that runs it.
 """
@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from xqte import core, inference
+from xqte import inference, simulate
 from xqte.cli import main
 from xqte.core import ObservationSet, substream
 from xqte.inference import SubsampleConfig, subsample_tail_pairs
@@ -30,8 +30,8 @@ def bits(a):
 
 @contextmanager
 def on_cpus(cpus, log_dir):
-    """core's CPU count patched to cpus and the rows from which work
-    forks (core.FORK_MIN_ROWS) to 0, so that any work would fork; every
+    """simulate's CPU count patched to cpus and the rows from which work
+    forks (simulate.FORK_MIN_ROWS) to 0, so that any work would fork; every
     call of the draw engine leaves a file
     "<pid>-<ppid>-<draws>-<call>" in log_dir, call counting the engine
     calls of its process."""
@@ -45,8 +45,8 @@ def on_cpus(cpus, log_dir):
         return run
 
     with ExitStack() as stack:
-        stack.enter_context(mock.patch.object(core, "_usable_cpus", return_value=cpus))
-        stack.enter_context(mock.patch.object(core, "FORK_MIN_ROWS", 0))
+        stack.enter_context(mock.patch.object(simulate, "_usable_cpus", return_value=cpus))
+        stack.enter_context(mock.patch.object(simulate, "FORK_MIN_ROWS", 0))
         stack.enter_context(mock.patch.object(inference, "_draws", logged(inference._draws)))
         yield
 
@@ -175,10 +175,10 @@ def test_fork_gate_on_two_cpus():
     decided = []
 
     def gate(fn, tasks, rows):
-        decided.append(core.fork_workers(len(tasks), rows))
+        decided.append(simulate.fork_workers(len(tasks), rows))
         return [None] * len(tasks)
 
-    with mock.patch.object(core, "_usable_cpus", return_value=2), \
+    with mock.patch.object(simulate, "_usable_cpus", return_value=2), \
             mock.patch("xqte.simulate.fork_map", gate):
         for design, reps, draws in (("iv", 2, 500), ("rdd", 2, 500), ("iv", 2, 250),
                                     ("rdd", 2, 250), ("iv", 6, 500), ("rdd", 8, 500)):

@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from xqte import cdf_iv, core, inference
+from xqte import cdf_iv, inference, simulate
 from xqte.cdf_iv import kappa_cdf, kappa_weights, logistic
 from xqte.core import EstimationError, ObservationSet, substream
 from xqte.inference import (
@@ -230,9 +230,9 @@ def test_chunk_boundaries_inside_a_workers_block(design, workers):
     pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
     cfg = SubsampleConfig(b=40, draws=101, max_failure_share=0.5)
     with patched(7 * 40, raw=False), \
-            mock.patch.object(core, "_usable_cpus", return_value=workers), \
-            mock.patch.object(core, "FORK_MIN_ROWS", 0):
-        assert core.fork_workers(cfg.draws, 40 * cfg.draws) == workers
+            mock.patch.object(simulate, "_usable_cpus", return_value=workers), \
+            mock.patch.object(simulate, "FORK_MIN_ROWS", 0):
+        assert simulate.fork_workers(cfg.draws, 40 * cfg.draws) == workers
         check_draws(pipe, cfg, 13, data.x)
 
 

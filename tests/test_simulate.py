@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from xqte import core
 from xqte.core import substream
 from xqte.inference import SubsampleConfig
 from xqte.pipeline import fit_pipeline
 from xqte.simulate import (
+    FORK_MIN_ROWS,
     TRUE_QTE_IV,
     TRUE_QTE_RDD,
     TRUE_QTE_RDD_ALT,
@@ -236,10 +236,10 @@ def cell_fields(report):
 
 def run_on(cfg, cpus, min_rows=0):
     """run_mc on cpus usable CPUs with the rows from which it forks
-    (core.FORK_MIN_ROWS) set to min_rows, 0 unless given, so that these
+    (FORK_MIN_ROWS) set to min_rows, 0 unless given, so that these
     small runs fork."""
-    with mock.patch("xqte.core._usable_cpus", return_value=cpus), \
-            mock.patch("xqte.core.FORK_MIN_ROWS", min_rows):
+    with mock.patch("xqte.simulate._usable_cpus", return_value=cpus), \
+            mock.patch("xqte.simulate.FORK_MIN_ROWS", min_rows):
         return run_mc(cfg)
 
 
@@ -279,7 +279,7 @@ class TestWorkers:
             return gen_rdd(*args, **kwargs)
 
         reports = []
-        for min_rows, here in ((core.FORK_MIN_ROWS, True), (69_301, True), (69_300, False)):
+        for min_rows, here in ((FORK_MIN_ROWS, True), (69_301, True), (69_300, False)):
             with mock.patch("xqte.simulate.gen_rdd", spied):
                 reports.append(format_report(run_on(cfg, 2, min_rows)))
             # a forked worker's calls are lost with its memory

@@ -452,6 +452,19 @@ def test_fit_arm_shifts_threshold_and_knots_alike():
             fit_arm(far, -1e17, s_min=pinned)
 
 
+def test_shifted_arm_errors_name_the_callers_threshold():
+    # the shifted threshold is always 1; the message names the threshold
+    # the caller asked for and the shift that moved it
+    empty = StepCdf(np.array([-3.0, -2.0, -1.0, 0.0]), np.array([0.2, 0.5, 0.6, 1.0]))
+    saturated = StepCdf(np.array([-3.0, -2.0]), np.array([0.5, 1.0]))
+    for cdf, y_min, error, text in ((empty, 0.0, EmptyTail, "threshold 0 shifted by 1: "),
+                                    (saturated, -1.5, NonPositiveSurvival,
+                                     "threshold -1.5 shifted by 2.5: ")):
+        with pytest.raises(error) as raised:
+            fit_arm(cdf, y_min)
+        assert str(raised.value).startswith(text)
+
+
 def test_fit_tail_shift_that_merges_knots_is_an_estimation_error():
     # the shift 1 - (-1e20) rounds to 1e20, which maps both small knots
     # onto 1e20; a bare ValueError from StepCdf would escape the CLI's
