@@ -82,21 +82,30 @@ def side_masses(
 
     w holds the kernel weights and the boolean masks above, below and
     treated mark the units above and below the cutoff and the treated
-    ones. Each row keeps its sample's own order, because the sums round
-    differently in another order. A row without mass on a side gets a
-    non-finite jump.
+    ones. Each row is summed one entry at a time in its own order (the
+    bandwidth window's units by outcome), so entries of weight 0 after
+    them, such as a packed row's padding, leave the sums unchanged bit
+    for bit. A row without mass on a side gets a non-finite jump.
     """
     side = np.multiply(w, above)
-    s_above = side.sum(axis=1)
+    s_above = _running_totals(side)
     side *= treated
-    taken_above = side.sum(axis=1)
+    taken_above = _running_totals(side)
     np.multiply(w, below, out=side)
-    s_below = side.sum(axis=1)
+    s_below = _running_totals(side)
     side *= treated
-    taken_below = side.sum(axis=1)
+    taken_below = _running_totals(side)
     with np.errstate(divide="ignore", invalid="ignore"):
         jump = taken_above / s_above - taken_below / s_below
     return s_above, s_below, jump
+
+
+def _running_totals(terms: np.ndarray) -> np.ndarray:
+    """Each row's total, added one entry at a time; np.sum's pairwise
+    blocks would depend on the row's length. 0 for empty rows."""
+    if not terms.shape[-1]:
+        return np.zeros(terms.shape[:-1])
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 def jump_ratio_rows(
@@ -154,8 +163,10 @@ def rdd_cdf(data: ObservationSet, h: float | None = None) -> RddCdfPair:
     """Counterfactual CDF pair on the grid of distinct windowed outcomes.
 
     Outcomes with |r| > h carry no kernel weight and do not contribute
-    knots. values[i] uses the indicator 1{Y <= knots[i]}, the value just
-    above the knot under left-continuous evaluation.
+    knots; the side masses are summed over the window by outcome, as a
+    subsample draw sums its packed window. values[i] uses the indicator
+    1{Y <= knots[i]}, the value just above the knot under left-continuous
+    evaluation.
     """
     if data.design != "rdd":
         raise ValueError("rdd_cdf needs an rdd-design ObservationSet")
@@ -163,10 +174,9 @@ def rdd_cdf(data: ObservationSet, h: float | None = None) -> RddCdfPair:
         h = rot_bandwidth(data.r)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    r = data.r[None]
-    s_above, s_below, jump = side_masses(
-        epanechnikov(r / h), r > 0, r < 0, data.d[None].astype(bool)
-    )
+    ys, r, treated = _window_by_outcome(data, h)
+    w = epanechnikov(r / h)
+    s_above, s_below, jump = side_masses(w, r > 0, r < 0, treated)
     if not s_above[0] > 0.0:
         raise EmptyWindow(f"no kernel mass above the cutoff within h = {h:g}")
     if not s_below[0] > 0.0:
@@ -177,9 +187,8 @@ def rdd_cdf(data: ObservationSet, h: float | None = None) -> RddCdfPair:
             f"first-stage jump {denom1:.3e} below {DENOM_EPS}"
         )
 
-    ys, r, treated = _window_by_outcome(data, h)
     at_knot, (beta1, beta0) = jump_ratio_rows(
-        ys, r, treated, epanechnikov(r / h), np.abs(r) <= h, s_above, s_below, jump
+        ys, r, treated, w, np.abs(r) <= h, s_above, s_below, jump
     )
     knots = ys[at_knot]
     return RddCdfPair(

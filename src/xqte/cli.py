@@ -215,8 +215,10 @@ def validate_config(cfg: RunConfig) -> tuple[EstimatorSettings, SubsampleConfig,
 
     Returns the run's estimator settings, subsample settings and, for
     simulate, Monte Carlo configuration. Those objects check their own
-    fields; only the estimation input, tail side and q range are checked
-    here."""
+    fields; only the seed, the estimation input, tail side and q range
+    are checked here."""
+    if cfg.seed < 0:
+        raise ConfigError(f"the seed must be a non-negative integer, got {cfg.seed}")
     if cfg.command != "simulate":
         if not cfg.input:
             raise ConfigError("an input CSV is required (--input)")

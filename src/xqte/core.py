@@ -9,6 +9,7 @@ exactly 1, so threshold lookups on it are always well defined.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Literal, NamedTuple
 
@@ -295,5 +296,130 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     Replication k of a run with master seed s always sees the stream
     substream(s, ..., k) no matter how work is scheduled, which makes
     simulation output independent of worker count.
+
+    The stream is np.random.default_rng(np.random.SeedSequence(seed,
+    spawn_key=key)), bit for bit. Building that seed sequence costs more
+    than drawing a subsample's indices from it, so for a non-negative
+    integer seed and key the PCG64 seed words come from a block of
+    SEED_BLOCK consecutive last keys, mixed at once (_seed_block).
     """
+    generator, pcg64 = _random()
+    if key and all(isinstance(v, (int, np.integer)) and v >= 0 for v in (seed, *key)):
+        block, at = divmod(int(key[-1]), SEED_BLOCK)
+        words = _seed_block(int(seed), tuple(map(int, key[:-1])), block)[at]
+        return generator(pcg64(_SeedWords(words, seed, key)))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+@functools.lru_cache(maxsize=None)
+def _random():
+    """numpy.random's Generator and PCG64, imported on first use, so that
+    importing xqte does not import numpy.random; _SeedWords is registered
+    as a seed sequence then too."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISpawnableSeedSequence
+
+    ISpawnableSeedSequence.register(_SeedWords)
+    return Generator, PCG64
+
+
+class _SeedWords:
+    """The seed sequence substream hands its PCG64: generate_state(4,
+    np.uint64), all that PCG64 asks of it, returns the precomputed words;
+    everything else (entropy, spawn_key, pool_size, n_children_spawned,
+    spawn, other generate_state calls, pickling) goes to the
+    np.random.SeedSequence(seed, spawn_key=key) it stands for, built on
+    first use."""
+
+    def __init__(self, words: np.ndarray, seed: int, key: tuple):
+        self._words, self._seed, self._key, self._seq = words, seed, key, None
+
+    def _sequence(self):
+        if self._seq is None:
+            self._seq = np.random.SeedSequence(self._seed, spawn_key=self._key)
+        return self._seq
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:
+            return self._words.copy()
+        return self._sequence().generate_state(n_words, dtype)
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._sequence(), name)
+
+    def __reduce__(self):
+        return self._sequence().__reduce__()
+
+
+# last keys per block of seed words, and the constants of numpy's
+# SeedSequence (numpy/random/bit_generator.pyx): a 4-word pool, its
+# hash and mix multipliers, and 32-bit words. SEED_BLOCK divides 2^32,
+# so the keys of a block, which starts at a multiple of it, all have as
+# many 32-bit words
+SEED_BLOCK = 512
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words32(value: int) -> list[int]:
+    """A non-negative integer's 32-bit words, least significant first; 0
+    is one word."""
+    return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+# a replication of a simulation uses two blocks, its data's and its draws'
+@functools.lru_cache(maxsize=8)
+def _seed_block(seed: int, head: tuple[int, ...], block: int) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=head + (k,)).generate_state(4,
+    np.uint64) for the SEED_BLOCK last keys k from block * SEED_BLOCK
+    on, as a (SEED_BLOCK, 4) array.
+
+    numpy's mixing, word by word: with a spawn key, the seed's words are
+    padded to the pool size, so they fill the pool and the key's words
+    are mixed in after it. Only the last key's low word differs across
+    the block; it is a uint32 array, every other word a Python int kept
+    to 32 bits, and the same expressions serve both.
+    """
+    last = _words32(block * SEED_BLOCK)
+    low = np.arange(SEED_BLOCK, dtype=np.uint32) + np.uint32(last[0])
+    entropy = _words32(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    for k in head:
+        entropy += _words32(k)
+    entropy += [low, *last[1:]]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+        return out ^ out >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state: 8 words off the cycled pool, paired little-endian
+    hash_const = _INIT_B
+    state = np.empty((SEED_BLOCK, 2 * _POOL_SIZE), dtype="<u4")
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state[:, i] = value ^ value >> 16
+    words = state.view("<u8").astype(np.uint64)
+    words.flags.writeable = False  # shared by every call that hits the cache
+    return words

@@ -228,8 +228,7 @@ def _rdd_rows(pipeline):
     # sorted copies end in a sentinel unit that packed rows are padded with
     y_sorted = np.append(data.y[order], np.inf)
     r_sorted = np.append(data.r[order], np.inf)
-    treated = data.d.astype(bool)
-    treated_sorted = np.append(treated[order], False)
+    treated_sorted = np.append(data.d[order].astype(bool), False)
     del order
     # both arms run as one stack of rows, arm 1 first as in TailDraws
     arms = (1, 0)
@@ -241,7 +240,6 @@ def _rdd_rows(pipeline):
         chunk's: the chunk's peak memory is what CHUNK_ELEMENTS is sized
         against."""
         r, units = data.r[idx], rank[idx]
-        above, below, taken = r > 0, r < 0, treated[idx]
         del idx
         h = rot_bandwidths(r)
         # only the window carries kernel weight, places knots and holds the
@@ -249,11 +247,7 @@ def _rdd_rows(pipeline):
         # sorts behind every unit and leaves each row's window entries at
         # its front in outcome order
         window = np.abs(r) <= h[:, None]
-        w = kernel_weights(r, h)
         del r
-        s_above, s_below, jump = side_masses(w, above, below, taken)
-        del w, above, below, taken
-        ok = (h > 0.0) & (s_above > 0.0) & (s_below > 0.0) & (np.abs(jump) >= DENOM_EPS)
         units[~window] = n
         units.sort(axis=1)
         units = units[:, : max(int(np.count_nonzero(window, axis=1).max()), 1)].copy()
@@ -262,6 +256,10 @@ def _rdd_rows(pipeline):
         inside = units < n
         del units
         w = kernel_weights(r, h)
+        # the masses add each window in outcome order and are unmoved by
+        # the padding, which has weight 0, as the full fit adds its window
+        s_above, s_below, jump = side_masses(w, r > 0, r < 0, taken)
+        ok = (h > 0.0) & (s_above > 0.0) & (s_below > 0.0) & (np.abs(jump) >= DENOM_EPS)
         # a draw that passes ok has kernel mass from both arms' takers and
         # ratio CDFs that end near 1, so the rows' own failure flags
         # (no arm-taker mass, a view never above 0) are never set on it

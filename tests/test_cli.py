@@ -211,6 +211,24 @@ def test_cli_import_leaves_out_numerical_integration():
     assert run_python(code) == 0
 
 
+def imports_beyond_numpy(module, code):
+    """Code that runs code and exits with 1 when module is then imported
+    although `import numpy` alone does not import it (numpy 1 imports
+    numpy.random and numpy.ma with itself, numpy 2 on first use)."""
+    return "\n".join([f"import sys, numpy; eager = {module!r} in sys.modules", code,
+                      f"sys.exit({module!r} in sys.modules and not eager)"])
+
+
+def test_cli_start_leaves_out_random_generators():
+    # core.substream imports numpy.random on its first call; starting the
+    # command line or asking for help must not pay for it
+    codes = ["import xqte.cli"]
+    for argv in (["simulate", "--help"], ["estimate-iv", "--help"]):
+        codes.append(f"from xqte.cli import main\ntry: main({argv!r})\nexcept SystemExit: pass")
+    for code in codes:
+        assert run_python(imports_beyond_numpy("numpy.random", code)) == 0
+
+
 def test_cli_start_leaves_out_multiprocessing(tmp_path):
     # only a Monte Carlo run worth a pool starts worker processes;
     # importing the CLI, asking a command for its help or estimating on a
@@ -277,9 +295,8 @@ def test_estimates_leave_out_masked_arrays(tmp_path):
          "0.8", "--b", "16", "--B", "120", "--out", str(tmp_path / "rdd")],
     ]
     for argv in commands:
-        code = ("import sys; from xqte.cli import main; "
-                f"sys.exit(main({argv!r}) or 10 * ('numpy.ma' in sys.modules))")
-        assert run_python(code) == 0
+        code = f"from xqte.cli import main\nassert main({argv!r}) == 0"
+        assert run_python(imports_beyond_numpy("numpy.ma", code)) == 0
         assert (Path(argv[-1]) / "qte.csv").exists()
 
 
@@ -544,6 +561,35 @@ class TestExitCodes:
     def test_invalid_simulate_settings_are_config_errors(self, capsys, flags, message):
         assert main(["simulate", "--q", "0.02", *flags]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command, flags", [
+        ("estimate-iv", ["--q", "0.02"]),
+        ("simulate", ["--design", "iv", "--n", "300", "--reps", "1", "--q", "0.02"]),
+    ])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command, flags):
+        # the input does not exist: the seed is refused before it is read
+        argv = [command, "--input", str(tmp_path / "missing.csv"), *flags, "--seed", "-1",
+                "--out", str(tmp_path / "out")]
+        if command == "simulate":
+            argv[1:3] = []
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: the seed must be a non-negative integer, got -1\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, fields", [
+        ("estimate-iv", {"q": [0.02]}),
+        ("simulate", {"design": "iv", "n": [300], "reps": 1, "q": [0.02]}),
+    ])
+    def test_negative_seed_in_config_file_is_config_error(self, tmp_path, capsys, command, fields):
+        if command != "simulate":
+            fields = {**fields, "input": str(tmp_path / "missing.csv")}
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({**fields, "seed": -3}))
+        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the seed must be a non-negative integer, got -3\n")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_flag_value(self):
         assert main(["estimate-rdd", "--q", "abc"]) == 2

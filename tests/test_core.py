@@ -1,5 +1,8 @@
 """Step-CDF algebra, proper-CDF views, flipping, and RNG substreams."""
 
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +231,70 @@ def test_substream_order_independent():
     _ = substream(11, 5).standard_normal(1000)
     second = substream(11, 2).standard_normal(4)
     assert np.array_equal(first, second)
+
+
+def numpys_stream(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def seed_sequence(rng):
+    return rng.bit_generator._seed_seq  # public as seed_seq from numpy 1.25 on
+
+
+# 32-bit words of SeedSequence entropy: seeds of 1, 2, 3 and 5+ words, key
+# words of 1 or more, and last keys at the ends of the 512-key blocks that
+# substream mixes at once, up to the first two-word key
+SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**96),
+                  st.integers(2**128, 2**200))
+KEY_WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80))
+LAST_KEYS = st.one_of(st.sampled_from([0, 511, 512, 1023, 2**32 - 1, 2**32]),
+                      st.integers(0, 2**40))
+KEYS = st.one_of(st.just(()), st.tuples(st.lists(KEY_WORDS, max_size=4), LAST_KEYS).map(
+    lambda parts: (*parts[0], parts[1])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, key=KEYS)
+def test_substream_is_numpys_seed_sequence_stream(seed, key):
+    ours, theirs = substream(seed, *key), numpys_stream(seed, key)
+    assert np.array_equal(ours.bit_generator.random_raw(16), theirs.bit_generator.random_raw(16))
+    # draws of subsample indices, by Floyd's algorithm and by a tail
+    # shuffle of the whole population
+    for n, b in ((10**4, 631), (10**5, 3163)):
+        ours, theirs = substream(seed, *key), numpys_stream(seed, key)
+        assert np.array_equal(np.sort(ours.choice(n, b, replace=False)),
+                              np.sort(theirs.choice(n, b, replace=False)))
+    ours, theirs = seed_sequence(ours), seed_sequence(theirs)
+    for name in ("entropy", "spawn_key", "pool_size", "n_children_spawned"):
+        assert getattr(ours, name) == getattr(theirs, name)
+    assert np.array_equal(ours.pool, theirs.pool)
+    for mine, numpys in zip(ours.spawn(3), theirs.spawn(3), strict=True):
+        assert (mine.entropy, mine.spawn_key) == (numpys.entropy, numpys.spawn_key)
+        assert np.array_equal(mine.generate_state(4), numpys.generate_state(4))
+    assert ours.n_children_spawned == theirs.n_children_spawned == 3
+    assert np.array_equal(ours.generate_state(8, np.uint32), theirs.generate_state(8, np.uint32))
+
+
+def test_substream_pickles_as_numpys_stream():
+    # numpy 2 pickles a generator's seed sequence with it; numpy 1 gives
+    # the copy a fresh one, of any entropy and no spawn key
+    rng, numpys = substream(3, 2**33, 700), numpys_stream(3, (2**33, 700))
+    rng.random(5)
+    copy, numpys_copy = pickle.loads(pickle.dumps(rng)), pickle.loads(pickle.dumps(numpys))
+    assert type(seed_sequence(copy)) is np.random.SeedSequence
+    assert seed_sequence(copy).spawn_key == seed_sequence(numpys_copy).spawn_key
+    assert np.array_equal(copy.random(5), rng.random(5))
+
+
+@pytest.mark.parametrize("seed, key", [
+    (-1, (0,)), (-2, ()), (1, (-1,)), (1, (0, 2**40, -5)), (1, (2.5,)), (1, (0, 1.0)),
+    (1.5, (0,)), (1, (np.int64(-1),)),
+])
+def test_substream_refuses_what_numpy_refuses(seed, key):
+    with pytest.raises((TypeError, ValueError)) as numpys:
+        np.random.SeedSequence(seed, spawn_key=key)
+    with pytest.raises(type(numpys.value), match=f"^{re.escape(str(numpys.value))}$"):
+        substream(seed, *key)
 
 
 # --------------------------------------------------------- step-CDF kernel

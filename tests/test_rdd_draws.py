@@ -38,20 +38,28 @@ def oracle_bandwidth(r):
 
 
 def oracle_cdfs(sub, h):
-    """Jump-ratio CDF pair from running sums over the windowed outcomes."""
+    """Jump-ratio CDF pair from running sums over the windowed outcomes;
+    the side masses add the window's units one at a time by outcome."""
     r, d = sub.r, sub.d.astype(float)
     w = epanechnikov(r / h)
     w_above = np.where(r > 0, w, 0.0)
     w_below = np.where(r < 0, w, 0.0)
-    s_above, s_below = w_above.sum(), w_below.sum()
-    if s_above <= 0.0 or s_below <= 0.0:
-        raise EmptyWindow("no kernel mass on one side of the cutoff")
-    denom1 = float((w_above * d).sum() / s_above) - float((w_below * d).sum() / s_below)
-    if abs(denom1) < DENOM_EPS:
-        raise DegenerateDenominator("no first-stage jump")
     window = np.abs(r) <= h
     yw = sub.y[window]
     order = np.argsort(yw, kind="stable")
+
+    def window_total(weights):
+        total = 0.0
+        for v in weights[window][order]:
+            total += v
+        return total
+
+    s_above, s_below = window_total(w_above), window_total(w_below)
+    if s_above <= 0.0 or s_below <= 0.0:
+        raise EmptyWindow("no kernel mass on one side of the cutoff")
+    denom1 = window_total(w_above * d) / s_above - window_total(w_below * d) / s_below
+    if abs(denom1) < DENOM_EPS:
+        raise DegenerateDenominator("no first-stage jump")
     ys = yw[order]
     knots = np.unique(ys)
     last = np.searchsorted(ys, knots, side="right") - 1
