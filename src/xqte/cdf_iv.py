@@ -192,7 +192,9 @@ def kappa_cdf(
     denom = float(wd.mean())
     if abs(denom) < DENOM_EPS:
         raise DegenerateDenominator(f"complier mass estimate {denom:.3e} below {DENOM_EPS}")
-    sample = rank_sample(data.y, np.stack([w1, w0]), wd)
-    del w1, w0, wd
+    weights = np.stack([w1, w0])
+    del w1, w0
+    sample = rank_sample(data.y, weights, wd)
+    del weights, wd
     cdf1, cdf0 = ranked_cdfs(sample)
     return KappaCdfPair(beta0=cdf0, beta1=cdf1, denom=denom, sample=sample)

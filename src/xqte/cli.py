@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -215,10 +216,13 @@ def validate_config(cfg: RunConfig) -> tuple[EstimatorSettings, SubsampleConfig,
 
     Returns the run's estimator settings, subsample settings and, for
     simulate, Monte Carlo configuration. Those objects check their own
-    fields; only the seed, the estimation input, tail side and q range
-    are checked here."""
+    fields; only the seed, the output directory, the estimation input,
+    tail side and q range are checked here."""
     if cfg.seed < 0:
         raise ConfigError(f"the seed must be a non-negative integer, got {cfg.seed}")
+    out = Path(cfg.out)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"the output directory {cfg.out!r} exists and is not a directory")
     if cfg.command != "simulate":
         if not cfg.input:
             raise ConfigError("an input CSV is required (--input)")
@@ -312,7 +316,7 @@ def _load_plain(path: str, design: str) -> dict[str, np.ndarray] | None:
         if not first or any(c in first for c in (b'"', b"\r", b"\0")):
             return None
         try:
-            header = [h.strip() for h in first.decode("utf-8").removesuffix("\n").split(",")]
+            header = [h.strip() for h in first.decode("utf-8-sig").removesuffix("\n").split(",")]
         except UnicodeDecodeError:
             return None
         if _header_problem(header, design) is not None:
@@ -343,7 +347,7 @@ def _read_rows(path: str, design: str) -> np.ndarray:
     """Row-by-row parse of any CSV the csv module reads; raises DataError
     naming the first offending line."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read input file: {exc}")
     with fh:
@@ -496,6 +500,18 @@ def _arm_summary(fit) -> dict:
     return {k: getattr(fit, k) for k in ("alpha_hat", "y_min", "s_min", "c_hat", "shift")}
 
 
+def _write_outputs(out: str, write: Callable[[Path], None]) -> None:
+    """write(outdir) into the output directory, created if missing; an
+    OSError while it is created or written becomes a ConfigError naming
+    it."""
+    try:
+        outdir = Path(out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        write(outdir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the outputs to {out!r}: {exc}")
+
+
 def cmd_estimate(cfg: RunConfig, settings: EstimatorSettings, sub: SubsampleConfig) -> None:
     data = read_estimation_csv(cfg.input, cfg.design)
     try:
@@ -508,11 +524,6 @@ def cmd_estimate(cfg: RunConfig, settings: EstimatorSettings, sub: SubsampleConf
     del data
     results = estimate_qte_batch(pipe, list(cfg.q), sub,
                                  lambda t: substream(cfg.seed, t))
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_cdf_csv(outdir / "cdf.csv", pipe)
-    write_paretofit_csv(outdir / "paretofit.csv", pipe)
-    write_qte_csv(outdir / "qte.csv", results)
     meta = {
         "n_rows": pipe.data.n,
         "resolved_b": b,
@@ -524,15 +535,18 @@ def cmd_estimate(cfg: RunConfig, settings: EstimatorSettings, sub: SubsampleConf
         "design_meta": pipe.meta,
         "outputs": ["cdf.csv", "paretofit.csv", "qte.csv"],
     }
-    write_run_json(outdir / "run.json", cfg, meta)
+
+    def write(outdir: Path) -> None:
+        write_cdf_csv(outdir / "cdf.csv", pipe)
+        write_paretofit_csv(outdir / "paretofit.csv", pipe)
+        write_qte_csv(outdir / "qte.csv", results)
+        write_run_json(outdir / "run.json", cfg, meta)
+
+    _write_outputs(cfg.out, write)
 
 
 def cmd_simulate(cfg: RunConfig, mc: McConfig) -> None:
     report = run_mc(mc)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_table_csv(outdir / "table.csv", report)
-    (outdir / "report.txt").write_text(format_report(report) + "\n", encoding="utf-8")
     meta = {
         "truth": report.truth,
         "truth_alt": report.truth_alt,
@@ -542,7 +556,13 @@ def cmd_simulate(cfg: RunConfig, mc: McConfig) -> None:
         ],
         "outputs": ["table.csv", "report.txt"],
     }
-    write_run_json(outdir / "run.json", cfg, meta)
+
+    def write(outdir: Path) -> None:
+        write_table_csv(outdir / "table.csv", report)
+        (outdir / "report.txt").write_text(format_report(report) + "\n", encoding="utf-8")
+        write_run_json(outdir / "run.json", cfg, meta)
+
+    _write_outputs(cfg.out, write)
 
 
 def main(argv: list[str] | None = None) -> int:

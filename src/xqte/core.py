@@ -178,7 +178,8 @@ class RankedSample(NamedTuple):
     input row order): each unit's rank (smallest integer type), then in
     rank order the outcomes, both arms' weights (shape (2, n), arm 1
     first) and the instrument design's complier-mass terms (None in the
-    direct design, whose weights are d and 1 - d)."""
+    direct design, whose weights are d and 1 - d). The arrays are
+    read-only: the fitted CDFs and the draws share them."""
 
     rank: np.ndarray
     y: np.ndarray
@@ -191,8 +192,12 @@ def rank_sample(y: np.ndarray, weights: np.ndarray, wd: np.ndarray | None = None
     order = np.argsort(y, kind="stable")
     rank = np.empty(y.size, dtype=np.min_scalar_type(y.size - 1))
     rank[order] = np.arange(y.size)
-    return RankedSample(rank, y[order], np.take(weights, order, axis=1),
-                        None if wd is None else wd[order])
+    sample = RankedSample(rank, y[order], np.take(weights, order, axis=1),
+                          None if wd is None else wd[order])
+    for a in sample:
+        if a is not None:
+            a.flags.writeable = False
+    return sample
 
 
 def arm_cdf_rows(sample: RankedSample, units: np.ndarray):
@@ -227,11 +232,16 @@ def arm_cdf_rows(sample: RankedSample, units: np.ndarray):
 
 def ranked_cdfs(sample: RankedSample) -> tuple[StepCdf, StepCdf]:
     """The full sample's (treated, control) CDFs: the one-row case of
-    arm_cdf_rows."""
-    ys, at_knot, values, ok = arm_cdf_rows(sample, sample.rank[None])
+    arm_cdf_rows. An arm whose every outcome is a knot (untied instrument
+    outcomes) takes sample.y itself as knots and a view of the one
+    running-sum matrix, made read-only, as values; the others copy
+    their knot entries out."""
+    _, at_knot, values, ok = arm_cdf_rows(sample, sample.rank[None])
     if not ok[0]:
         raise DegenerateDenominator("no complier mass or an empty arm: no CDF to build")
-    return tuple(StepCdf(ys[0, at[0]], v[0, at[0]]) for at, v in zip(at_knot, values))
+    values.flags.writeable = False
+    return tuple(StepCdf(*(a if at.all() else a[at] for a in (sample.y, v)))
+                 for at, v in zip(at_knot[:, 0], values[:, 0]))
 
 
 def evaluate(cdf: StepCdf, y) -> np.ndarray | float:

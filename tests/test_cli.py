@@ -591,6 +591,44 @@ class TestExitCodes:
             "config error: the seed must be a non-negative integer, got -3\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["estimate-rdd", "simulate"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_output_path_naming_a_file_is_config_error(self, tmp_path, capsys, command,
+                                                       from_config):
+        # the input does not exist: the output path is refused before it is read
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        argv = [command, "--q", "0.02"]
+        argv += (["--design", "rdd", "--n", "300", "--reps", "1"] if command == "simulate"
+                 else ["--input", str(tmp_path / "missing.csv")])
+        if from_config:
+            cfgfile = tmp_path / "c.json"
+            cfgfile.write_text(json.dumps({"out": str(taken)}))
+            argv += ["--config", str(cfgfile)]
+        else:
+            argv += ["--out", str(taken)]
+        with mock.patch("xqte.cli.run_mc", side_effect=AssertionError("replications ran")):
+            assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: the output directory {str(taken)!r} exists and is not a directory\n")
+        assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command", ["estimate-rdd", "simulate"])
+    def test_output_directory_that_cannot_be_made_is_config_error(self, tmp_path, capsys,
+                                                                  command):
+        # a file where a parent directory should be: making the directory
+        # fails once the estimate is done
+        (tmp_path / "taken").write_text("")
+        out = str(tmp_path / "taken" / "out")
+        if command == "simulate":
+            code = main(["simulate", "--design", "iv", "--n", "300", "--reps", "1",
+                         "--q", "0.025", "--B", "100", "--out", out])
+        else:
+            code = run_estimate_rdd(tmp_path, out="taken/out")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot write the outputs to {out!r}: [Errno 20] Not a directory")
+
     def test_bad_flag_value(self):
         assert main(["estimate-rdd", "--q", "abc"]) == 2
 

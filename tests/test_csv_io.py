@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from xqte import cli
 from xqte.cli import DataError, read_cdf_csv, read_estimation_csv, write_cdf_csv
-from xqte.core import StepCdf
+from xqte.core import StepCdf, substream
+from xqte.simulate import gen_iv, gen_rdd
 
 HEADERS = {"iv": ["y", "d", "z", "x1", "x2"], "rdd": ["y", "d", "r"]}
 
@@ -136,6 +137,24 @@ def test_plain_file_takes_the_array_path(tmp_path, monkeypatch):
     assert [(name, col.shape) for name, col in columns.items()] == [
         ("y", (2,)), ("d", (2,)), ("z", (2,)), ("x", (2, 1))]
     assert read_both(path, "iv", monkeypatch)[0] == read_both(path, "iv", monkeypatch)[1]
+
+
+@pytest.mark.parametrize("design", ["iv", "rdd"])
+def test_byte_order_mark_before_the_header_is_read_on_both_paths(tmp_path, monkeypatch, design):
+    # a spreadsheet's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+    data = (gen_iv if design == "iv" else gen_rdd)(substream(2, 0), 300).data
+    if design == "iv":
+        header = ",".join(["y", "d", "z"] + [f"x{i}" for i in range(1, data.x.shape[1] + 1)])
+        table = np.column_stack([data.y, data.d, data.z, data.x])
+    else:
+        header, table = "y,d,r", np.column_stack([data.y, data.d, data.r])
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    np.savetxt(plain, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert cli._load_plain(str(marked), design) is not None
+    expected = read_both(plain, design, monkeypatch)
+    assert expected[0][0] == "data"
+    assert read_both(marked, design, monkeypatch) == expected
 
 
 def test_a_pipe_is_read_by_the_row_loop(tmp_path):

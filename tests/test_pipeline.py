@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from xqte.cdf_rdd import arm_threshold, rdd_cdf, rot_bandwidth
-from xqte.core import DegenerateDenominator, ObservationSet, evaluate, substream
+from xqte.core import DegenerateDenominator, ObservationSet, arm_cdf_rows, evaluate, substream
 from xqte.inference import estimate_qte_batch
 from xqte.pipeline import EstimatorSettings, fit_pipeline
-from xqte.simulate import gen_rdd
+from xqte.simulate import gen_iv, gen_rdd
 from xqte.tail import ShiftMergesKnots, extrapolated_quantiles
 
 from oracles import ecdf, subset_cdfs
@@ -175,6 +177,56 @@ class TestIvPipeline:
         assert np.array_equal(c1.knots, pipe.cdf1.knots)
         assert np.array_equal(c1.values, pipe.cdf1.values)
         assert np.array_equal(c0.values, pipe.cdf0.values)
+
+
+def copied_cdfs(sample):
+    """Each arm's (knots, values) copied out of the one-row case of
+    arm_cdf_rows, tied outcomes or not."""
+    ys, at_knot, values, _ = arm_cdf_rows(sample, sample.rank[None])
+    return [(ys[0, at[0]], v[0, at[0]]) for at, v in zip(at_knot, values)]
+
+
+def assert_cdfs_equal_copies(pipe):
+    for cdf, (knots, values) in zip((pipe.cdf1, pipe.cdf0), copied_cdfs(pipe.sample)):
+        assert cdf.knots.tobytes() == knots.tobytes()
+        assert cdf.values.tobytes() == values.tobytes()
+
+
+class TestSharedFitArrays:
+    """Untied instrument outcomes make every outcome a knot of both arms:
+    the fitted CDFs are then views of the ranked sample's outcomes and of
+    one running-sum matrix, all read-only, instead of copies."""
+
+    def test_untied_instrument_fit_shares_the_ranked_sample(self):
+        data = gen_iv(substream(32, 0), 2000).data
+        assert np.unique(data.y).size == data.n
+        pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
+        c1, c0 = pipe.cdf1, pipe.cdf0
+        assert c1.knots is c0.knots
+        assert np.shares_memory(c1.knots, pipe.sample.y)
+        assert c1.values.base is not None and c1.values.base is c0.values.base
+        assert_cdfs_equal_copies(pipe)
+        for arr in (c1.knots, c1.values, c0.values, c1.values.base, *pipe.sample):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[..., 0] = 0
+
+    @pytest.mark.parametrize("design", ["tied iv", "direct"])
+    def test_other_fits_copy_each_arms_knots(self, design):
+        data = gen_iv(substream(32, 1), 2000).data
+        if design == "direct":
+            data = ObservationSet(design="direct", y=data.y, d=data.d)
+        else:
+            data = replace(data, y=np.round(data.y, 1))
+        pipe = fit_pipeline(data, EstimatorSettings(ymin_level=0.9))
+        c1, c0 = pipe.cdf1, pipe.cdf0
+        assert not np.shares_memory(c1.knots, c0.knots)
+        assert not np.shares_memory(c1.knots, pipe.sample.y)
+        assert not np.shares_memory(c1.values, c0.values)
+        assert_cdfs_equal_copies(pipe)
+        for arr in pipe.sample:
+            if arr is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[..., 0] = 0
 
 
 class TestRddPipeline:
