@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DENOM_EPS, DegenerateDenominator, EstimationError, ObservationSet, StepCdf, step_sums,
+    DENOM_EPS, DegenerateDenominator, EstimationError, ObservationSet, StepCdf, row_totals,
+    step_sums,
 )
 
 
@@ -88,24 +89,16 @@ def side_masses(
     for bit. A row without mass on a side gets a non-finite jump.
     """
     side = np.multiply(w, above)
-    s_above = _running_totals(side)
+    s_above = row_totals(side)
     side *= treated
-    taken_above = _running_totals(side)
+    taken_above = row_totals(side)
     np.multiply(w, below, out=side)
-    s_below = _running_totals(side)
+    s_below = row_totals(side)
     side *= treated
-    taken_below = _running_totals(side)
+    taken_below = row_totals(side)
     with np.errstate(divide="ignore", invalid="ignore"):
         jump = taken_above / s_above - taken_below / s_below
     return s_above, s_below, jump
-
-
-def _running_totals(terms: np.ndarray) -> np.ndarray:
-    """Each row's total, added one entry at a time; np.sum's pairwise
-    blocks would depend on the row's length. 0 for empty rows."""
-    if not terms.shape[-1]:
-        return np.zeros(terms.shape[:-1])
-    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 def jump_ratio_rows(

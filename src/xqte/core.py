@@ -173,6 +173,15 @@ def step_sums(ys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return at_knot, np.cumsum(weights, axis=-1, out=weights)
 
 
+def row_totals(terms: np.ndarray) -> np.ndarray:
+    """Each row's total along the last axis, added in order (np.sum's
+    pairwise blocks would make it depend on the row's length and so on
+    its zero padding), -0.0 as 0.0; 0 for empty rows."""
+    if not terms.shape[-1]:
+        return np.zeros(terms.shape[:-1])
+    return np.cumsum(terms, axis=-1)[..., -1] + 0.0
+
+
 class RankedSample(NamedTuple):
     """A sample ranked by outcome once, stably (tied outcomes keep their
     input row order): each unit's rank (smallest integer type), then in

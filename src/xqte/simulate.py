@@ -126,8 +126,12 @@ class McConfig:
             raise ValueError("simulate needs at least one sample size (--n)")
         if any(n < 100 for n in self.n_list):
             raise ValueError("each sample size must be at least 100")
+        if len(set(self.n_list)) < len(self.n_list):
+            raise ValueError("each sample size may be given only once (--n)")
         if not self.q_list:
             raise ValueError("the q-list must not be empty")
+        if len(set(self.q_list)) < len(self.q_list):
+            raise ValueError("each quantile level may be given only once (--q)")
         if any(not 0.0 < q < 0.5 for q in self.q_list):
             raise ValueError("quantile levels must lie in (0, 0.5): these are left-tail targets")
         if self.reps < 1:
@@ -203,16 +207,20 @@ def _usable_cpus() -> int:
 
 
 def _wrapped_from_outside() -> bool:
-    """Whether a function of this package has been wrapped with
-    functools.wraps at run time, as tracers and profilers do. What they
-    record stays in the memory of the process that makes the call, so the
-    calls of a replication run on a forked worker would be lost to them."""
+    """Whether code from outside this package's directory has wrapped one
+    of its functions with functools.wraps at run time, as tracers and
+    profilers do. What they record stays in the memory of the process
+    that makes the call, so the calls of a replication run on a forked
+    worker would be lost to them."""
     package = __name__.partition(".")[0]
+    home = os.path.join(os.path.dirname(__file__), "")
     functions = [ObservationSet.subset, StepCdf.__post_init__]
     for name, module in list(sys.modules.items()):
         if name == package or name.startswith(package + "."):
             functions += [v for v in vars(module).values() if isinstance(v, types.FunctionType)]
-    return any(hasattr(fn, "__wrapped__") for fn in functions)
+    return any(hasattr(fn, "__wrapped__")
+               and not getattr(getattr(fn, "__code__", None), "co_filename", "").startswith(home)
+               for fn in functions)
 
 
 # rows touched from which a Monte Carlo run forks its replications
@@ -234,8 +242,8 @@ def fork_workers(tasks: int, rows: int) -> int:
     without the fork start method, inside a pool worker (a daemon
     process, which may not fork), while another Python thread is alive
     (a forked child inherits the locks that thread holds and can deadlock
-    on them) and when a function has been wrapped at run time
-    (_wrapped_from_outside)."""
+    on them) and when a function has been wrapped at run time from
+    outside the package (_wrapped_from_outside)."""
     workers = min(_usable_cpus(), tasks)
     if workers < 2 or rows < FORK_MIN_ROWS:
         return 1

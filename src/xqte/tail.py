@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EstimationError, StepCdf
+from .core import EstimationError, StepCdf, row_totals
 
 
 class NonPositiveSurvival(EstimationError):
@@ -110,8 +110,9 @@ def tail_index_rows(
     left out of both integrals. A row's segments are the threshold's,
     up to the first knot beyond it, then each knot's, up to the next
     knot or inf; the leading column of the segment matrices holds the
-    threshold's. Each row's integrals are summed in segment order with
-    np.sum's rounding (_row_sums).
+    threshold's. Each row's integrals are summed in segment order
+    (core.row_totals), so a row's fit does not depend on the rows
+    stacked with it or on its padding.
     """
     rows = np.arange(knots.shape[0])
     th = y_min[:, None]
@@ -133,29 +134,16 @@ def tail_index_rows(
     th_seg = np.repeat(y_min, count)
     u_lo, u_hi = lefts[seg] / th_seg, rights[seg] / th_seg
     log_ratio = np.log(surv[seg] / np.repeat(s_min, count))
-    num = _row_sums(seg, log_ratio * _w_mass(u_lo, u_hi, omega))
-    den = _row_sums(seg, _log_antideriv(u_lo, omega) - _log_antideriv(u_hi, omega))
+    terms = np.zeros(seg.shape)
+    terms[seg] = log_ratio * _w_mass(u_lo, u_hi, omega)
+    num = row_totals(terms)
+    terms[seg] = _log_antideriv(u_lo, omega) - _log_antideriv(u_hi, omega)
+    den = row_totals(terms)
     # den is 0 without segments, and also when the positive-survival
     # tail is narrower than float resolution at the threshold (say, a
     # threshold an ulp below its only knot)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den > 0.0, -num / den, np.nan), s_min
-
-
-def _row_sums(seg: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """np.sum of each row's terms, bit for bit; seg marks where the terms
-    sit in their rows.
-
-    np.sum adds fewer than 8 entries one by one from 0, as a running sum
-    along the zero-padded row does (adding 0.0 turns its -0.0 into 0.0
-    as well); longer rows go through np.sum.
-    """
-    padded = np.zeros(seg.shape)
-    padded[seg] = terms
-    out = np.cumsum(padded, axis=1)[:, -1] + 0.0
-    for i in np.nonzero(np.count_nonzero(seg, axis=1) >= 8)[0]:
-        out[i] = np.sum(padded[i, seg[i]])
-    return out
 
 
 def pareto_index(

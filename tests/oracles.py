@@ -141,6 +141,15 @@ def _tail_segments(cdf: StepCdf, y_min: float):
     return lefts, rights, 1.0 - seg_values
 
 
+def _in_order_sum(terms: np.ndarray) -> float:
+    """The terms added one by one from 0.0 as Python floats, the order in
+    which the library adds up every row (core.row_totals)."""
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total
+
+
 def pareto_index(cdf: StepCdf, y_min: float, omega: float = 1.0) -> TailFit:
     """Closed-form tail-index fit on a step CDF above a positive threshold.
 
@@ -167,8 +176,8 @@ def pareto_index(cdf: StepCdf, y_min: float, omega: float = 1.0) -> TailFit:
     u_lo = lefts[pos] / y_min
     u_hi = rights[pos] / y_min
     log_ratio = np.log(surv[pos] / s_min)
-    num = float(np.sum(log_ratio * _w_mass(u_lo, u_hi, omega)))
-    den = float(np.sum(_log_antideriv(u_lo, omega) - _log_antideriv(u_hi, omega)))
+    num = _in_order_sum(log_ratio * _w_mass(u_lo, u_hi, omega))
+    den = _in_order_sum(_log_antideriv(u_lo, omega) - _log_antideriv(u_hi, omega))
     if den <= 0.0:
         # the positive-survival tail is narrower than float resolution at
         # the threshold (say, a threshold an ulp below its only knot)

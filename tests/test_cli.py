@@ -557,6 +557,10 @@ class TestExitCodes:
         (["--n", "300", "--reps", "1"], "unknown simulated design None"),
         (["--design", "rdd", "--n", "300", "--reps", "1", "--B", "50"],
          "need at least 100 subsample draws"),
+        (["--design", "iv", "--n", "300", "300", "--reps", "2"],
+         "each sample size may be given only once (--n)"),
+        (["--design", "iv", "--n", "300", "--reps", "2", "--q", "0.02", "0.02"],
+         "each quantile level may be given only once (--q)"),
     ])
     def test_invalid_simulate_settings_are_config_errors(self, capsys, flags, message):
         assert main(["simulate", "--q", "0.02", *flags]) == 2

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from xqte import simulate
 from xqte.core import substream
 from xqte.inference import SubsampleConfig
 from xqte.pipeline import fit_pipeline
@@ -141,6 +142,9 @@ class TestConfigValidation:
             dict(good, n_list=(50,)),
             dict(good, q_list=(0.6,)),
             dict(good, q_list=()),
+            # a repeated size or level would count its replications twice
+            dict(good, n_list=(300, 300)),
+            dict(good, q_list=(0.02, 0.02)),
             dict(good, reps=0),
             dict(good, subsample=SubsampleConfig(draws=99)),
             # b must be below every sample size, not just the first
@@ -321,6 +325,21 @@ class TestWorkers:
             report = run_on(cfg, 2)
         assert pids == [os.getpid()] * 3
         assert format_report(report) == format_report(run_on(cfg, 1))
+
+    def test_package_wrapper_leaves_the_fork_on(self):
+        # a functools.wraps decorator whose code lies in the package
+        # directory is the package's own, not a tracer's
+        source = ("import functools\n"
+                  "@functools.wraps(gen_rdd)\n"
+                  "def wrapped(*args, **kwargs):\n"
+                  "    return gen_rdd(*args, **kwargs)\n")
+        path = os.path.join(os.path.dirname(simulate.__file__), "decorated.py")
+        namespace = {"gen_rdd": gen_rdd}
+        exec(compile(source, path, "exec"), namespace)
+        with mock.patch.object(simulate, "gen_rdd", namespace["wrapped"]), \
+                mock.patch.object(simulate, "_usable_cpus", return_value=2):
+            assert simulate.gen_rdd.__wrapped__ is gen_rdd
+            assert simulate.fork_workers(2, FORK_MIN_ROWS) == 2
 
     def test_live_thread_keeps_the_replications_here(self):
         # forking while another thread holds a lock can deadlock the child

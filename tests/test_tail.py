@@ -297,6 +297,34 @@ def test_tail_index_rows_fits_rows_of_any_length():
     assert np.isnan(alpha[2]) and s_min[2] == pytest.approx(0.1)
 
 
+def test_tail_index_rows_fits_a_row_alike_wherever_it_sits():
+    # a CDF with 40 knots beyond its threshold, fitted as one row of a
+    # matrix among other rows, padded with inf knots and led by knots
+    # below its threshold, gets the bits of its one-row fit everywhere
+    rng = substream(26, 0)
+    knots = 1.0 + np.cumsum(rng.uniform(0.05, 1.0, 60))
+    values = np.sort(rng.uniform(0.0, 1.0, 60))
+    y_min = knots[19]
+    others = [(knots[:10] * 1.5, values[:10], knots[3] * 1.5),
+              (knots[:30] + 0.5, values[30:], knots[12] + 0.5)]
+    for omega in (1.0, 2.0):
+        want = oracles.pareto_index(StepCdf(knots, values), y_min, omega)
+        got = set()
+        for lead in (0, 7, 18):
+            for pad in (0, 3, 50):
+                for where in range(3):
+                    rows = others[:where] + [(knots[lead:], values[lead:], y_min)] + others[where:]
+                    width = knots.size - lead + pad
+                    at_knot = np.arange(width) < np.array([[k.size] for k, _, _ in rows])
+                    k, v = np.full((3, width), np.inf), np.ones((3, width))
+                    k[at_knot] = np.concatenate([r[0] for r in rows])
+                    v[at_knot] = np.concatenate([r[1] for r in rows])
+                    thresholds = np.array([r[2] for r in rows])
+                    alpha, s_min = tail_index_rows(k, v, at_knot, thresholds, omega)
+                    got.add((alpha[where].hex(), s_min[where].hex()))
+        assert got == {(want.alpha_hat.hex(), want.s_min.hex())}
+
+
 # ------------------------------------------------------- analytic index
 
 @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
